@@ -10,7 +10,7 @@ from .gmod import (
     iso_probable,
     shift,
     simple_module,
-    socle_radical,
+    socle,
     square_truncate,
     sub_quotient,
     validate,

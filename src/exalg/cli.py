@@ -19,7 +19,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import gmod, homalg, homology, modfile, verify
-from .linalg import DEFAULT_PRIME, is_prime
+from .linalg import DEFAULT_PRIME, check_prime
 
 
 def _prime_from_env() -> int:
@@ -27,12 +27,9 @@ def _prime_from_env() -> int:
     if raw is None:
         return DEFAULT_PRIME
     try:
-        p = int(raw)
-    except ValueError:
-        raise SystemExit(f"EXALG_PRIME is not an integer: {raw!r}")
-    if p < 5 or not is_prime(p):
-        raise SystemExit(f"EXALG_PRIME must be a prime >= 5, got {p}")
-    return p
+        return check_prime(int(raw))
+    except ValueError as bad:
+        raise ValueError(f"EXALG_PRIME={raw!r}: {bad}") from None
 
 
 def _read_text(path: str) -> str:
@@ -334,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    p = _prime_from_env()
     try:
-        return args.fn(args, p)
+        return args.fn(args, _prime_from_env())
     except modfile.ModuleFileError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2

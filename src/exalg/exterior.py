@@ -31,20 +31,6 @@ def wedge(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
     return (-1) ** inversions, merged
 
 
-def wedge_sign_bruteforce(a: Monomial, b: Monomial) -> int | None:
-    """Sign of a ∧ b computed by bubble-sorting the concatenation."""
-    seq = list(a + b)
-    if len(set(seq)) != len(seq):
-        return None
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return sign
-
-
 def basis_of_degree(n_plus_1: int, degree: int) -> list[Monomial]:
     """All degree-j monomials, lexicographically ordered."""
     if degree < 0 or degree > n_plus_1:

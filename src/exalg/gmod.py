@@ -25,7 +25,6 @@ import numpy as np
 from . import exterior, linalg
 from .linalg import (
     Subspace,
-    kernel_basis,
     left_kernel_basis,
     matmul_mod,
     rref,
@@ -51,10 +50,11 @@ class GradedModule:
 
     def __init__(self, n_plus_1: int, p: int, dims: dict[int, int], actions):
         self.n_plus_1 = int(n_plus_1)
-        self.p = int(p)
-        if self.p < 5 or not linalg.is_prime(self.p):
-            raise ValueError(f"modulus must be a prime >= 5, got {self.p}")
-        self.dims = {int(d): int(c) for d, c in dims.items() if int(c) > 0}
+        self.p = linalg.check_prime(int(p))
+        self.dims = {int(d): int(c) for d, c in dims.items() if int(c)}
+        for d, c in self.dims.items():
+            if c < 0:
+                raise ValueError(f"negative dimension {c} in degree {d}")
         acts: list[dict[int, np.ndarray]] = []
         for i in range(self.n_plus_1):
             given = actions[i] if i < len(actions) else {}
@@ -274,9 +274,6 @@ def validate(m: GradedModule) -> list[str]:
     """Check the graded-module axioms; returns one message per violation."""
     problems: list[str] = []
     p = m.p
-    for d, c in m.dims.items():
-        if c < 0:
-            problems.append(f"negative dimension {c} in degree {d}")
     for i in range(m.n_plus_1):
         for d, mat in m.actions[i].items():
             if mat.min(initial=0) < 0 or mat.max(initial=0) >= p:
@@ -534,28 +531,27 @@ def radical_subspaces(m: GradedModule) -> dict[int, Subspace]:
     return out
 
 
-def socle_radical(m: GradedModule):
-    """(socle, radical, top_dims): kernels, images, and generator counts."""
+def socle(m: GradedModule) -> dict[int, Subspace]:
+    """The graded socle: vectors killed by every variable, per degree."""
     p = m.p
-    socle: dict[int, Subspace] = {}
+    out: dict[int, Subspace] = {}
     for d in m.degrees:
-        nxt = m.dim(d + 1)
-        if nxt == 0:
-            socle[d] = linalg.full_subspace(m.dim(d), p)
+        if m.dim(d + 1) == 0:
+            out[d] = linalg.full_subspace(m.dim(d), p)
             continue
         stacked = np.hstack([m.action(i, d) for i in range(m.n_plus_1)])
-        socle[d] = left_kernel_basis(stacked, p)
-    radical = radical_subspaces(m)
-    top = {d: m.dim(d) - radical[d].dim for d in m.degrees}
-    return socle, radical, {d: c for d, c in top.items() if c}
+        out[d] = left_kernel_basis(stacked, p)
+    return out
 
 
 def top_generators(m: GradedModule) -> list[tuple[int, np.ndarray]]:
-    """A deterministic choice of minimal generators: one vector per top slot."""
-    _, radical, top = socle_radical(m)
+    """A deterministic choice of minimal generators: one vector per top slot.
+
+    The slots are the non-pivot coordinates of the radical, degrees ascending.
+    """
     gens: list[tuple[int, np.ndarray]] = []
-    for d in sorted(top):
-        piv = set(radical[d].pivots) if radical[d].dim else set()
+    for d, rad in radical_subspaces(m).items():
+        piv = set(rad.pivots)
         for c in range(m.dim(d)):
             if c not in piv:
                 v = zeros(1, m.dim(d))[0]
@@ -612,44 +608,6 @@ def hom_space_dim_layout(a: GradedModule, b: GradedModule) -> int:
     return sum(a.dim(d) * b.dim(d) for d in _blocks_layout(a, b))
 
 
-def _hom_space_dense(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
-    """Reference Hom solver: one kernel computation on the full system."""
-    p = a.p
-    layout = _blocks_layout(a, b)
-    total = hom_space_dim_layout(a, b)
-    if total == 0:
-        return []
-    offset = {}
-    ofs = 0
-    for d in layout:
-        offset[d] = ofs
-        ofs += a.dim(d) * b.dim(d)
-    rows = []
-    for i in range(a.n_plus_1):
-        for d in set(a.dims):
-            md, md1 = a.dim(d), a.dim(d + 1)
-            nd, nd1 = b.dim(d), b.dim(d + 1)
-            if md == 0 or nd1 == 0:
-                continue
-            eq = zeros(md * nd1, total)
-            if md1 and (d + 1) in offset:
-                o = offset[d + 1]
-                eq[:, o : o + md1 * nd1] = np.kron(a.action(i, d), linalg.identity(nd1))
-            if nd and d in offset:
-                o = offset[d]
-                eq[:, o : o + md * nd] = (
-                    eq[:, o : o + md * nd] - np.kron(linalg.identity(md), b.action(i, d).T)
-                ) % p
-            if eq.any():
-                rows.append(eq)
-    if not rows:
-        system = zeros(0, total)
-    else:
-        system = np.vstack(rows)
-    ker = kernel_basis(system, p)
-    return [map_from_flat(a, b, v) for v in ker.basis]
-
-
 def _contract_params(tensors: dict[int, np.ndarray], basis: np.ndarray, p: int) -> dict[int, np.ndarray]:
     out = {}
     for d, t in tensors.items():
@@ -675,20 +633,27 @@ def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
     nparams = 0
     tensors: dict[int, np.ndarray] = {}  # degree -> (T, m_d, n_d)
 
-    def add_free(d: int) -> None:
-        nonlocal nparams, tensors
-        md, nd = a.dim(d), b.dim(d)
-        fresh = md * nd
+    def add_free(d: int, pivots: list[int], ea: np.ndarray | None) -> None:
+        # one fresh parameter per entry of each non-pivot row of block d; the
+        # pivot rows follow from those through the reduced system ea
+        nonlocal nparams
+        free_rows = [r for r in range(a.dim(d)) if r not in set(pivots)]
+        if not free_rows:
+            return
         old = nparams
-        nparams += fresh
-        for e, t in list(tensors.items()):
+        nparams += len(free_rows) * b.dim(d)
+        for e, t in tensors.items():
             grown = np.zeros((nparams,) + t.shape[1:], dtype=np.int64)
             grown[:old] = t
             tensors[e] = grown
-        block = np.zeros((nparams, md, nd), dtype=np.int64)
-        for k in range(fresh):
-            block[old + k].flat[k] = 1
-        tensors[d] = block
+        block = tensors[d]
+        k = old
+        for fr in free_rows:
+            for c in range(b.dim(d)):
+                block[k, fr, c] = 1
+                if pivots:
+                    block[k, pivots, c] = (-ea[:, fr]) % p
+                k += 1
 
     def cut(constraint: np.ndarray) -> None:
         # constraint is (T, q); keep the parameter combinations annihilating it
@@ -705,7 +670,8 @@ def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
         has_constraints = md_prev > 0 and nd > 0
         if not has_constraints:
             if md and nd:
-                add_free(d)
+                tensors[d] = np.zeros((nparams, md, nd), dtype=np.int64)
+                add_free(d, [], None)
             continue
         # incoming equations: vstack_i X^a_i[d-1] @ B[d] = vstack_i B[d-1] @ X^b_i[d-1]
         rows_a = (a.n_plus_1) * md_prev
@@ -744,23 +710,7 @@ def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
             ur = ur.reshape(rank_a, nparams, nd).transpose(1, 0, 2)
             part[:, pivots_a, :] = ur
         tensors[d] = part
-        free_rows = [r for r in range(md) if r not in set(pivots_a)]
-        if free_rows:
-            old = nparams
-            fresh = len(free_rows) * nd
-            nparams += fresh
-            for e, t in list(tensors.items()):
-                grown = np.zeros((nparams,) + t.shape[1:], dtype=np.int64)
-                grown[:old] = t
-                tensors[e] = grown
-            block = tensors[d]
-            k = old
-            for fi, fr in enumerate(free_rows):
-                for c in range(nd):
-                    block[k, fr, c] = 1
-                    if rank_a:
-                        block[k, pivots_a, c] = (-ea[:, fr]) % p
-                    k += 1
+        add_free(d, pivots_a, ea)
     if nparams == 0:
         return []
     # canonicalize: RREF of the flattened solution space

@@ -175,13 +175,6 @@ class FiniteAlgebra:
     one: np.ndarray  # coords of the unit
     rad_filtration: list[Subspace]  # rad^0 ⊇ rad^1 ⊇ ... ⊇ 0
 
-    def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        acc = zeros(1, self.dim)[0]
-        for i in np.nonzero(u)[0]:
-            contrib = matmul_mod(v.reshape(1, -1), self.mult[i], self.p).ravel()
-            acc = (acc + int(u[i]) * contrib) % self.p
-        return acc
-
     @property
     def radical(self) -> Subspace:
         return self.rad_filtration[1] if len(self.rad_filtration) > 1 else zero_subspace(self.dim, self.p)
@@ -202,12 +195,11 @@ class FiniteAlgebra:
         }
 
 
-def _left_mult_operator(mult: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    # L_v[j, k] = sum_i v_i mult[i, j, k]
-    dim = mult.shape[0]
-    acc = zeros(dim, dim)
-    for i in np.nonzero(vec)[0]:
-        acc = (acc + int(vec[i]) * mult[i]) % p
+def algebra_product(mult: np.ndarray, u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of u * v in an algebra with structure constants mult."""
+    acc = zeros(1, mult.shape[0])[0]
+    for i in np.nonzero(u)[0]:
+        acc = (acc + int(u[i]) * matmul_mod(v.reshape(1, -1), mult[i], p).ravel()) % p
     return acc
 
 
@@ -219,30 +211,23 @@ def algebra_radical_subspace(dim: int, p: int, mult: np.ndarray) -> Subspace:
     """
     if dim >= p:
         raise DimTooLarge(f"algebra dimension {dim} is not below the modulus {p}")
-    ops = [_left_mult_operator(mult, np.eye(dim, dtype=np.int64)[i], p) for i in range(dim)]
+    # mult[i] is the matrix of left multiplication by the i-th basis element
     gram = zeros(dim, dim)
     for i in range(dim):
         for j in range(i, dim):
-            t = int(np.trace(matmul_mod(ops[i], ops[j], p)) % p)
+            t = int(np.trace(matmul_mod(mult[i], mult[j], p)) % p)
             gram[i, j] = t
             gram[j, i] = t
     rad = kernel_basis(gram, p)
     # two-sided ideal check
     for r in rad.basis:
         for e in np.eye(dim, dtype=np.int64):
-            left = _algebra_product(mult, e, r, p)
-            right = _algebra_product(mult, r, e, p)
+            left = algebra_product(mult, e, r, p)
+            right = algebra_product(mult, r, e, p)
             if not rad.contains(left) or not rad.contains(right):
                 raise ValueError("trace-form radical is not an ideal")
     # nilpotency check happens while building the filtration
     return rad
-
-
-def _algebra_product(mult: np.ndarray, u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    acc = zeros(1, mult.shape[0])[0]
-    for i in np.nonzero(u)[0]:
-        acc = (acc + int(u[i]) * matmul_mod(v.reshape(1, -1), mult[i], p).ravel()) % p
-    return acc
 
 
 def _radical_filtration(dim: int, p: int, mult: np.ndarray, rad: Subspace) -> list[Subspace]:
@@ -252,7 +237,7 @@ def _radical_filtration(dim: int, p: int, mult: np.ndarray, rad: Subspace) -> li
         rows = []
         for u in rad.basis:
             for v in cur.basis:
-                rows.append(_algebra_product(mult, u, v, p))
+                rows.append(algebra_product(mult, u, v, p))
         nxt = subspace_from_rows(np.array(rows).reshape(len(rows), dim), dim, p)
         if nxt.dim >= cur.dim:
             raise ValueError("radical filtration does not descend; not nilpotent")
@@ -288,10 +273,6 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     rad = algebra_radical_subspace(dim, p, mult)
     filtration = _radical_filtration(dim, p, mult, rad)
     return FiniteAlgebra(dim, p, mult, one, filtration)
-
-
-def algebra_radical(a: FiniteAlgebra) -> Subspace:
-    return a.radical
 
 
 def is_indecomposable(m: GradedModule) -> bool:

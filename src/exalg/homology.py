@@ -37,15 +37,6 @@ class FreeModuleError(ValueError):
     """Raised when an operation requires a module with no free behaviour."""
 
 
-def generator_degrees(m: GradedModule) -> list[int]:
-    """Degrees of a minimal generating set, with multiplicity, sorted."""
-    _, _, top = gmod.socle_radical(m)
-    out: list[int] = []
-    for d in sorted(top):
-        out.extend([d] * top[d])
-    return out
-
-
 def free_map_from_generators(
     free: GradedModule,
     gen_degrees: list[int],
@@ -85,12 +76,18 @@ def free_map_from_generators(
     return ModuleMap(free, target, blocks)
 
 
-def projective_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    """Minimal free cover: one generator per basis slot of m modulo radical."""
-    if m.is_zero():
+def projective_cover(
+    m: GradedModule, gens: list[tuple[int, np.ndarray]] | None = None
+) -> tuple[GradedModule, ModuleMap]:
+    """Minimal free cover: one generator per basis slot of m modulo radical.
+
+    A caller that already holds gmod.top_generators(m) passes it as gens.
+    """
+    if gens is None:
+        gens = gmod.top_generators(m)
+    if not gens:
         z = gmod.zero_module(m.n_plus_1, m.p)
         return z, gmod.zero_map(z, m)
-    gens = gmod.top_generators(m)
     degrees = [d for d, _ in gens]
     cover = gmod.free_module(m.n_plus_1, m.p, degrees)
     epi = free_map_from_generators(cover, degrees, m, [v for _, v in gens])
@@ -106,9 +103,14 @@ def kernel_submodule(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     return sub, incl
 
 
-def syzygy_step(m: GradedModule) -> tuple[GradedModule, ModuleMap, GradedModule, ModuleMap]:
-    """(syzygy, inclusion, cover, epi) for one minimal cover of m."""
-    cover, epi = projective_cover(m)
+def syzygy_step(
+    m: GradedModule, gens: list[tuple[int, np.ndarray]] | None = None
+) -> tuple[GradedModule, ModuleMap, GradedModule, ModuleMap]:
+    """(syzygy, inclusion, cover, epi) for one minimal cover of m.
+
+    gens is as in projective_cover.
+    """
+    cover, epi = projective_cover(m, gens)
     syz, incl = kernel_submodule(epi)
     return syz, incl, cover, epi
 
@@ -208,10 +210,10 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
     rows: list[list[int]] = []
     cur = m
     for _ in range(depth + 1):
-        rows.append(generator_degrees(cur))
-        if cur.is_zero():
-            continue
-        cur = syzygy_step(cur)[0]
+        gens = gmod.top_generators(cur)
+        rows.append([d for d, _ in gens])
+        if gens:
+            cur = syzygy_step(cur, gens)[0]
     return BettiTable(depth, rows)
 
 
@@ -485,11 +487,12 @@ def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
     """
     a, b, c = incl.source, incl.target, proj.target
     p = a.p
-    syz_a, incl_a, cover_a, epi_a = syzygy_step(a)
-    syz_b, incl_b, cover_b, epi_b = syzygy_step(b)
+    gens_a, gens_b = gmod.top_generators(a), gmod.top_generators(b)
+    syz_a, incl_a, cover_a, epi_a = syzygy_step(a, gens_a)
+    syz_b, incl_b, cover_b, epi_b = syzygy_step(b, gens_b)
     syz_c, incl_c, cover_c, epi_c = syzygy_step(c)
-    degrees_a = generator_degrees(a)
-    degrees_b = generator_degrees(b)
+    degrees_a = [d for d, _ in gens_a]
+    degrees_b = [d for d, _ in gens_b]
     # lift cover_a -> B through epi_b, and cover_b -> C through epi_c
     lift_ab = lift_through_cover(gmod.map_compose(epi_a, incl), degrees_a, epi_b)
     lift_bc = lift_through_cover(gmod.map_compose(epi_b, proj), degrees_b, epi_c)

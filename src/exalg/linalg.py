@@ -5,18 +5,22 @@ Matrices are numpy int64 arrays with entries reduced to [0, p).  Row
 reduction uses deterministic pivoting (first nonzero entry in column
 order), so every result is bit-reproducible.  Large eliminations go
 through a panel-blocked Gauss-Jordan whose trailing updates run as
-float64 BLAS products; with p < 2^26 every dot product of the sizes we
-use is exactly representable in a double, so the fast path is exact.
+float64 BLAS products.  Every accepted prime is at most MAX_PRIME, so
+(p-1)^2 <= 2^53 and each product of two residues is exact in a double;
+the blocked kernel's int64 panel dot (under 64 such terms) cannot overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
 DEFAULT_PRIME = 32003
+# Largest modulus with (p-1)^2 <= 2^53: the float64 exactness condition.
+MAX_PRIME = isqrt(1 << 53) + 1
 
 # Panel width for the blocked elimination, and the size threshold below
 # which the plain per-pivot loop is faster.
@@ -74,6 +78,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> int:
+    """p itself if it is a prime in [5, MAX_PRIME], else ValueError."""
+    if not (5 <= p <= MAX_PRIME and is_prime(p)):
+        raise ValueError(f"modulus must be a prime in [5, {MAX_PRIME}], got {p}")
+    return p
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p, using float64 BLAS when the inner dimension allows.
 
@@ -90,9 +101,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         return zeros(a.shape[0], b.shape[1])
     if a.size == 0 or b.size == 0:
         return zeros(a.shape[0], b.shape[1])
+    if p > MAX_PRIME:
+        raise ValueError(f"modulus {p} exceeds MAX_PRIME = {MAX_PRIME}")
     safe = (1 << 53) // ((p - 1) * (p - 1))
-    if safe < 1:
-        return (a @ b) % p
     if k <= safe:
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.mod(c, p).astype(np.int64)
@@ -273,15 +284,9 @@ def reduce_mod_subspace(vec: np.ndarray, s: Subspace) -> np.ndarray:
 def coords_in_rref_basis(vec: np.ndarray, s: Subspace) -> np.ndarray | None:
     """Coordinates of vec in the RREF basis of s, or None if not a member."""
     v = np.asarray(vec, dtype=np.int64) % s.p
-    piv = s.pivots
-    coords = v[piv] if piv else zeros(1, 0)[0]
-    if s.dim:
-        rem = (v - matmul_mod(coords.reshape(1, -1), s.basis, s.p).ravel()) % s.p
-    else:
-        rem = v
-    if rem.any():
+    if reduce_mod_subspace(v, s).any():
         return None
-    return coords
+    return v[s.pivots]
 
 
 def kernel_basis(mat, p: int) -> Subspace:
@@ -331,24 +336,6 @@ def solve(a, b, p: int) -> np.ndarray | None:
     return x
 
 
-def solve_matrix(a, b, p: int) -> np.ndarray | None:
-    """Some X with a @ X = b (b a matrix), or None if inconsistent."""
-    a = _as_mat(a)
-    b = _as_mat(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch("solve_matrix row mismatch")
-    aug = np.hstack([a % p, b % p])
-    rank, red, pivots = rref(aug, p)
-    n = a.shape[1]
-    if pivots and pivots[-1] >= n:
-        return None
-    x = zeros(n, b.shape[1])
-    for i, c in enumerate(pivots):
-        if c < n:
-            x[c] = red[i, n:]
-    return x
-
-
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     if u.ambient != w.ambient:
         raise DimensionMismatch("subspace ambient mismatch")
@@ -369,11 +356,6 @@ def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
         return zero_subspace(u.ambient, p)
     vecs = matmul_mod(pairs.basis[:, : u.dim], u.basis, p)
     return subspace_from_rows(vecs, u.ambient, p)
-
-
-def subspace_ops(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
-    """Sum and intersection; dims satisfy dim(u)+dim(w) = dim(sum)+dim(meet)."""
-    return subspace_sum(u, w), subspace_intersection(u, w)
 
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.ndarray:

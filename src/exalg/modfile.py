@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gmod
 from .gmod import GradedModule
-from .linalg import is_prime
+from .linalg import check_prime
 
 FORMAT_VERSION = "1"
 
@@ -62,8 +62,10 @@ def parse_dict(data: dict) -> GradedModule:
         actions_raw = data["actions"]
     except KeyError as missing:
         raise ModuleFileError(f"missing field {missing.args[0]!r}") from None
-    if not is_prime(p) or p < 5:
-        raise ModuleFileError(f"modulus {p} is not a prime >= 5")
+    try:
+        check_prime(p)
+    except ValueError as bad:
+        raise ModuleFileError(str(bad)) from None
     if n_plus_1 < 1:
         raise ModuleFileError("n_plus_1 must be positive")
     try:

@@ -69,23 +69,7 @@ class Suite:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, check_id: str, claim: str, expected, actual, **params) -> None:
-        t = time.perf_counter()
-        if actual == "UNDECIDED":
-            verdict = "UNDECIDED"
-        else:
-            verdict = "PASS" if expected == actual else "FAIL"
-        self.checks.append(
-            CheckResult(
-                check_id=check_id,
-                claim=claim,
-                params=params,
-                expected=expected,
-                actual=actual,
-                verdict=verdict,
-                seed=self.seed,
-                wall_ms=(time.perf_counter() - t) * 1000.0,
-            )
-        )
+        self.timed(check_id, claim, expected, lambda: actual, **params)
 
     def timed(self, check_id: str, claim: str, expected, thunk, **params) -> None:
         t = time.perf_counter()
@@ -438,7 +422,7 @@ def suite_kronecker(n: int, seed: int, p: int) -> Suite:
         "ISO",
         lambda: _iso_kind(homology.ar_translate(m), m, seed),
     )
-    _, radical, _ = gmod.socle_radical(m)
+    radical = gmod.radical_subspaces(m)
     s.add(
         "kronecker:point-uniserial",
         "the point module over two variables is uniserial of graded length two",

@@ -4,6 +4,8 @@ resolution depth <= 12, p = 32003), all equalities exact.  One printed
 pass/fail line per criterion.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,40 @@ from exalg.cli import cli_main
 
 P = la.DEFAULT_PRIME
 
+# sha256 of the canonical JSON verify report of each (suite, n) at seed 0:
+# any change to the bytes a suite reports fails its criterion.
+REPORT_SHA256 = {
+    ("eisenbud", 2): "b078c282c706e3747dadb51672560c44b742a52de971ce73afdb3556ab89c54a",
+    ("eisenbud", 3): "8ecf0acce33d393978974371e89b1febaee33a6940cab4b63c1921946b262851",
+    ("lemma2.1", 2): "7df2c5d47fd753c90b2fe8e5a651f1a90cf16270b99854651949fa68e8c0fe9b",
+    ("lemma2.1", 3): "9593ca3e207222b0ac981bdce6098362e9e92cb38cba30ce710340885c851be7",
+    ("cor2.2", 2): "4a9c04d3b8630e8d68765a5265df6a70fdf1e37ed5a73bb05124d71a14a08622",
+    ("cor2.2", 3): "60a0a4a4405c69bd85d0b15a40432bae057a982402ea80f6d282423dfe15bee5",
+    ("examples", 2): "e29b6f39178541f7b88dcefada1bc260917ba159106efe2f04003dc7840eff61",
+    ("examples", 3): "0a3adad2233fab99d1087eadfc3aca01f59e212d0e049f655b678f0786a055c3",
+    ("pd", 2): "6b03255822f45fdb63148e3576122abe9028e176a7c6cf38cf6b39e7718a6278",
+    ("pd", 3): "cc61a8eb8ac6d7a27194630f46502bd1307d4e221a7e621b527017185e018296",
+    ("lemma2.7", 2): "6e3948f6b305adef9f375c245756e0be6e6dc63b3c1c60e5b8d5c5977300e4e2",
+    ("lemma2.7", 3): "b336afeb6607e899fb5bc87884d0172806245475d37fac3d80e5fad655e41459",
+    ("kronecker", 1): "955394f1c5ae7b1fb6ab586231697404e1855d034a94f36e94e69d95d83f11a9",
+    ("tensor", 2): "d0f87b558814b1bdea24799be8446ecdfc8f2a908f7ddca740b19ac289da47c2",
+    ("tensor", 3): "fdc3711d3990f03546bc5aaac8ad48fc30edfb6d04660a83b51aa02b009d17b0",
+    ("relative", 2): "104bc03969a90aa22aad1f86d6ce905ce674ec4a11a829bda02a668f1e21c3e8",
+    ("relative", 3): "f9ee39dbe61f0b5d1b650900689fb3a66b43a602eef33abdef771ff9ed524d4c",
+    ("selfext", 2): "fab460aacc8357850ff8ce44d5ef66976376dadcd8e9d43be437569735dc2435",
+    ("selfext", 3): "280509d388a99defb685b7ba037068a6f1cefa1e8a19891f92d139c008817570",
+    ("phi", 2): "e1379f2dc4653278904c2045ee4af28e1158f93ac0cc6de47b46adae196662e1",
+}
+
 
 def _suites_pass(*runs, seed=0):
     failures = []
     total = 0
     for name, n in runs:
         checks = verify.run_suite(name, n=n, seed=seed)
+        report = modfile.canonical_json(verify.report_dict(name, checks, n, seed, P))
+        digest = hashlib.sha256(report.encode()).hexdigest()
+        assert digest == REPORT_SHA256[(name, n)], f"verify report bytes changed: {name} n={n}"
         total += len(checks)
         failures.extend(c for c in checks if c.verdict != "PASS")
     return total, failures
@@ -130,7 +160,7 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
         amb = int(rng.integers(1, 6))
         u = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
         w = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
-        s, i = la.subspace_ops(u, w)
+        s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
         if s.dim + i.dim != u.dim + w.dim:
             failures.append("modular-law")
             break

@@ -52,10 +52,11 @@ def test_roundtrip_bit_exact():
 def test_parse_rejects_malformed():
     with pytest.raises(modfile.ModuleFileError, match="version"):
         modfile.parse(json.dumps({"version": "2"}))
-    with pytest.raises(modfile.ModuleFileError, match="prime"):
-        modfile.parse(
-            json.dumps({"version": "1", "p": 9, "n_plus_1": 2, "dims": {}, "actions": [{}, {}]})
-        )
+    for p in (9, 94906297):  # composite; the first prime above MAX_PRIME
+        with pytest.raises(modfile.ModuleFileError, match="prime"):
+            modfile.parse(
+                json.dumps({"version": "1", "p": p, "n_plus_1": 2, "dims": {}, "actions": [{}, {}]})
+            )
     good = modfile.to_dict(cons.point_module(2, np.array([1, 0]), P))
     bad = json.loads(json.dumps(good))
     bad["actions"][0]["0"] = [1, 2, 3]
@@ -235,6 +236,10 @@ def test_cli_env_prime_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     data = json.loads(out)
     assert data["p"] == 101
+    monkeypatch.setenv("EXALG_PRIME", "94906297")  # the first prime above MAX_PRIME
+    code, out, err = run_cli(["construct", "mxi", "--n", "1"], capsys=capsys)
+    assert code == 2 and not out
+    assert "prime" in err
 
 
 def test_cli_subprocess_entrypoint(point_file):

@@ -92,6 +92,17 @@ def test_matmul_mod_exactness_and_chunking():
     a2 = la.random_matrix(rng, 8, 40, small_p)
     b2 = la.random_matrix(rng, 40, 6, small_p)
     assert np.array_equal(la.matmul_mod(a2, b2, small_p), (a2 @ b2) % small_p)
+    # the largest accepted prime: one-term chunks, checked against Python ints
+    assert (la.MAX_PRIME - 1) ** 2 <= 2**53 < la.MAX_PRIME**2
+    big_p = la.check_prime(94906249)
+    a3 = la.random_matrix(rng, 5, 7, big_p)
+    b3 = la.random_matrix(rng, 7, 4, big_p)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % big_p for col in b3.T] for row in a3]
+    assert la.matmul_mod(a3, b3, big_p).tolist() == want
+    with pytest.raises(ValueError, match="prime"):
+        la.check_prime(94906297)  # the first prime above MAX_PRIME
+    with pytest.raises(ValueError, match="MAX_PRIME"):
+        la.matmul_mod(a3, b3, 2**31 - 1)
 
 
 def test_kernel_identity_is_zero():
@@ -133,20 +144,21 @@ def test_solve_dimension_mismatch():
         la.solve(np.eye(2, dtype=np.int64), np.array([1, 2, 3]), P)
 
 
-def test_solve_matrix_consistent():
+def test_solve_consistent_random():
     rng = np.random.default_rng(5)
     a = la.random_matrix(rng, 6, 4, P)
     x = la.random_matrix(rng, 4, 3, P)
     b = la.matmul_mod(a, x, P)
-    got = la.solve_matrix(a, b, P)
-    assert got is not None
-    assert np.array_equal(la.matmul_mod(a, got, P), b)
+    for col in b.T:
+        got = la.solve(a, col, P)
+        assert got is not None
+        assert np.array_equal(la.matmul_mod(a, got.reshape(-1, 1), P).ravel(), col)
 
 
 def test_subspace_ops_equal_inputs():
     rng = np.random.default_rng(1)
     u = la.subspace_from_rows(la.random_matrix(rng, 2, 5, P), 5, P)
-    s, i = la.subspace_ops(u, u)
+    s, i = la.subspace_sum(u, u), la.subspace_intersection(u, u)
     assert s == u
     assert i == u
 
@@ -154,7 +166,7 @@ def test_subspace_ops_equal_inputs():
 def test_subspace_ops_complementary_axes():
     u = la.subspace_from_rows(np.array([[1, 0]]), 2, P)
     w = la.subspace_from_rows(np.array([[0, 1]]), 2, P)
-    s, i = la.subspace_ops(u, w)
+    s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
     assert s.dim == 2
     assert i.dim == 0
 
@@ -162,7 +174,7 @@ def test_subspace_ops_complementary_axes():
 def test_subspace_ops_two_lines_in_three_space():
     u = la.subspace_from_rows(np.array([[1, 2, 3]]), 3, P)
     w = la.subspace_from_rows(np.array([[1, 0, 1]]), 3, P)
-    s, i = la.subspace_ops(u, w)
+    s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
     assert s.dim == 2
     assert i.dim == 0
 
@@ -184,7 +196,7 @@ def test_modular_law_random():
         amb = int(rng.integers(1, 7))
         u = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 5)), amb, P), amb, P)
         w = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 5)), amb, P), amb, P)
-        s, i = la.subspace_ops(u, w)
+        s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
         assert s.dim + i.dim == u.dim + w.dim
 
 
