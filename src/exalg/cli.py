@@ -11,7 +11,6 @@ report embeds the prime in use.  Exit codes: 0 success/PASS, 1 FAIL,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -187,7 +186,7 @@ def cmd_construct(args, p) -> int:
         ]
         _emit_module(cons.span_quotient(n1, np.array(rows, dtype=np.int64), p))
     elif kind == "pd":
-        _emit_module(cons.filtration_projective(args.n, args.d, p, seed=args.seed))
+        _emit_module(cons.filtration_projective(args.n, args.d, p))
     elif kind == "pd-explicit":
         _emit_module(cons.filtration_projective_explicit(args.n, args.d, p))
     elif kind == "xxi":
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi", type=str, default=None, help="comma-separated form coefficients")
     sp.add_argument("--forms", type=str, default=None, help="semicolon-separated forms")
     sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--i", type=int, default=0)
     sp.add_argument("--j", type=int, default=0)
     sp.set_defaults(fn=cmd_construct)

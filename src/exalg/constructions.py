@@ -277,7 +277,7 @@ def universal_extension(x: GradedModule, m: GradedModule):
         z = gmod.zero_module(x.n_plus_1, x.p)
         ext = Extension(z, x, x, gmod.zero_map(z, x), gmod.identity_map(x))
         return ext, classes
-    power, incs, projs = gmod.direct_power(m, a)
+    power = gmod.direct_sum(*[m] * a)[0]
     base = classes[0]
     stacked_blocks = {}
     for d in base.syz.degrees:
@@ -294,7 +294,7 @@ def connecting_recovers_basis(x: GradedModule, m: GradedModule) -> bool:
     a = len(classes)
     if a == 0:
         return True
-    power, incs, projs = gmod.direct_power(m, a)
+    power, _, projs = gmod.direct_sum(*[m] * a)
     space = homalg.hom_basis(classes[0].syz, m)
     reps = space.stable_class_reps()
     rep_coords = [reduce_mod_subspace(space.coords_of(r), space.ptriv) for r in reps]
@@ -308,10 +308,9 @@ def connecting_recovers_basis(x: GradedModule, m: GradedModule) -> bool:
     return True
 
 
-def filtration_projective(n: int, d: int, p: int, seed: int = 0) -> GradedModule:
+def filtration_projective(n: int, d: int, p: int) -> GradedModule:
     """The length-d filtration projective over the point module of x_0,
-    built inductively by universal extensions.  The construction is
-    deterministic; seed is accepted for interface stability."""
+    built inductively by universal extensions."""
     if d < 1:
         raise ValueError("the filtration projective needs d >= 1")
     xi = np.zeros(n + 1, dtype=np.int64)

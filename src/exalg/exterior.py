@@ -88,23 +88,3 @@ def generator_matrices(n_plus_1: int, p: int) -> list[list[np.ndarray]]:
             [right_mult_matrix(basis[d], basis[d + 1], form, p) for d in range(n_plus_1)]
         )
     return mats
-
-
-def monomial_action_product(mon: Monomial, start_degree: int, action, p: int):
-    """Compose the actions of the variables of mon in increasing index order.
-
-    `action(i, d)` must return the degree-d matrix of x_i (row-vector
-    convention, applied left to right).  Returns None when a factor is
-    missing, and None for the empty monomial (caller supplies the identity).
-    """
-    from .linalg import matmul_mod
-
-    mat = None
-    d = start_degree
-    for i in mon:
-        step = action(i, d)
-        if step is None:
-            return None
-        mat = step if mat is None else matmul_mod(mat, step, p)
-        d += 1
-    return mat

@@ -194,17 +194,6 @@ def map_compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, g.target, blocks)
 
 
-def map_add(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    p = f.source.p
-    blocks = {d: (f.block(d) + g.block(d)) % p for d in set(f.blocks) | set(g.blocks)}
-    return ModuleMap(f.source, f.target, blocks)
-
-
-def map_scale(c: int, f: ModuleMap) -> ModuleMap:
-    p = f.source.p
-    return ModuleMap(f.source, f.target, {d: (c * b) % p for d, b in f.blocks.items()})
-
-
 def identity_map(m: GradedModule) -> ModuleMap:
     return ModuleMap(m, m, {d: linalg.identity(k) for d, k in m.dims.items()})
 
@@ -278,19 +267,21 @@ def validate(m: GradedModule) -> list[str]:
         for d, mat in m.actions[i].items():
             if mat.min(initial=0) < 0 or mat.max(initial=0) >= p:
                 problems.append(f"entries out of range in action x_{i} at degree {d}")
+
+    def product(i: int, j: int, d: int):
+        # an absent block is zero: never build and multiply it densely
+        a, b = m.actions[i].get(d), m.actions[j].get(d + 1)
+        return 0 if a is None or b is None else matmul_mod(a, b, p)
+
     degs = m.degrees
     for d in degs:
         for i in range(m.n_plus_1):
-            sq = matmul_mod(m.action(i, d), m.action(i, d + 1), p)
-            if sq.any():
+            if np.any(product(i, i, d)):
                 problems.append(f"square-zero violated: (i={i}, j={i}, d={d})")
         for i in range(m.n_plus_1):
             for j in range(i + 1, m.n_plus_1):
-                anti = (
-                    matmul_mod(m.action(i, d), m.action(j, d + 1), p)
-                    + matmul_mod(m.action(j, d), m.action(i, d + 1), p)
-                ) % p
-                if anti.any():
+                anti = (product(i, j, d) + product(j, i, d)) % p
+                if np.any(anti):
                     problems.append(f"anticommutation violated: (i={i}, j={j}, d={d})")
     return problems
 
@@ -359,66 +350,38 @@ def transport(m: GradedModule, a: np.ndarray) -> GradedModule:
     return GradedModule(m.n_plus_1, m.p, dict(m.dims), actions)
 
 
-def direct_sum(a: GradedModule, b: GradedModule):
-    """Block-diagonal sum with the four canonical maps.
+def direct_sum(*mods: GradedModule):
+    """Block-diagonal sum with one inclusion and one projection per summand.
 
-    Returns (sum, (incl_a, incl_b), (proj_a, proj_b)).
+    Returns (sum, incls, projs) with the maps listed in summand order.
     """
-    _check_compatible(a, b)
-    p = a.p
-    dims = {d: a.dim(d) + b.dim(d) for d in set(a.dims) | set(b.dims)}
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(a.n_plus_1)]
-    for i in range(a.n_plus_1):
-        for d in dims:
-            rows = dims.get(d, 0)
-            cols = dims.get(d + 1, 0)
-            if not rows or not cols:
+    if not mods:
+        raise ValueError("direct_sum needs at least one summand")
+    first = mods[0]
+    for other in mods[1:]:
+        _check_compatible(first, other)
+    degrees = sorted(set().union(*(m.dims for m in mods)))
+    # offsets[k][d]: where summand k starts inside degree d of the sum
+    offsets = [dict.fromkeys(degrees, 0)]
+    for m in mods:
+        offsets.append({d: offsets[-1][d] + m.dim(d) for d in degrees})
+    dims = offsets[-1]
+    actions: list[dict[int, np.ndarray]] = [{} for _ in range(first.n_plus_1)]
+    for i in range(first.n_plus_1):
+        for d in degrees:
+            if not dims[d] or not dims.get(d + 1, 0):
                 continue
-            mat = zeros(rows, cols)
-            mat[: a.dim(d), : a.dim(d + 1)] = a.action(i, d)
-            mat[a.dim(d) :, a.dim(d + 1) :] = b.action(i, d)
+            mat = zeros(dims[d], dims[d + 1])
+            for m, off in zip(mods, offsets):
+                mat[off[d] : off[d] + m.dim(d), off[d + 1] : off[d + 1] + m.dim(d + 1)] = m.action(i, d)
             actions[i][d] = mat
-    total = GradedModule(a.n_plus_1, p, dims, actions)
-    inc_a, inc_b, pr_a, pr_b = {}, {}, {}, {}
-    for d in dims:
-        ia = zeros(a.dim(d), dims[d])
-        ia[:, : a.dim(d)] = linalg.identity(a.dim(d))
-        ib = zeros(b.dim(d), dims[d])
-        ib[:, a.dim(d) :] = linalg.identity(b.dim(d))
-        inc_a[d], inc_b[d] = ia, ib
-        pr_a[d] = ia.T.copy()
-        pr_b[d] = ib.T.copy()
-    return (
-        total,
-        (ModuleMap(a, total, inc_a), ModuleMap(b, total, inc_b)),
-        (ModuleMap(total, a, pr_a), ModuleMap(total, b, pr_b)),
-    )
-
-
-def direct_power(m: GradedModule, k: int):
-    """k-fold direct sum with inclusion and projection maps per copy."""
-    p = m.p
-    if k == 0:
-        z = zero_module(m.n_plus_1, p)
-        return z, [], []
-    dims = {d: k * c for d, c in m.dims.items()}
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(m.n_plus_1)]
-    eye = np.eye(k, dtype=np.int64)
-    for i in range(m.n_plus_1):
-        for d, mat in m.actions[i].items():
-            actions[i][d] = np.kron(eye, mat)
-    total = GradedModule(m.n_plus_1, p, dims, actions)
-    incs, projs = [], []
-    for c in range(k):
-        inc, proj = {}, {}
-        for d, cnt in m.dims.items():
-            ia = zeros(cnt, k * cnt)
-            ia[:, c * cnt : (c + 1) * cnt] = linalg.identity(cnt)
-            inc[d] = ia
-            proj[d] = ia.T.copy()
-        incs.append(ModuleMap(m, total, inc))
-        projs.append(ModuleMap(total, m, proj))
-    return total, incs, projs
+    total = GradedModule(first.n_plus_1, first.p, dims, actions)
+    incls, projs = [], []
+    for m, off in zip(mods, offsets):
+        inc = {d: np.eye(m.dim(d), dims[d], off[d], dtype=np.int64) for d in degrees}
+        incls.append(ModuleMap(m, total, inc))
+        projs.append(ModuleMap(total, m, {d: b.T.copy() for d, b in inc.items()}))
+    return total, incls, projs
 
 
 def _closure_subspaces(m: GradedModule, seeds: dict[int, list[np.ndarray]]) -> dict[int, Subspace]:
@@ -457,8 +420,7 @@ def submodule_from_subspaces(m: GradedModule, spans: dict[int, Subspace]):
             continue
         piv = nxt.pivots
         for i in range(m.n_plus_1):
-            img = matmul_mod(s.basis, m.action(i, d), p)
-            actions[i][d] = img[:, piv]
+            actions[i][d] = matmul_mod(s.basis, m.action(i, d)[:, piv], p)
     sub = GradedModule(m.n_plus_1, p, dims, actions)
     incl = ModuleMap(sub, m, blocks)
     return sub, incl
@@ -472,18 +434,15 @@ def quotient_by_subspaces(m: GradedModule, spans: dict[int, Subspace]):
     nonpiv: dict[int, list[int]] = {}
     for d, total in m.dims.items():
         s = spans.get(d)
-        r = s.dim if s else 0
-        q = total - r
-        dims[d] = q
-        piv = s.pivots if s and s.dim else []
-        npv = [c for c in range(total) if c not in set(piv)]
+        piv = s.pivots if s else []
+        npv = np.delete(np.arange(total), piv)
         nonpiv[d] = npv
+        dims[d] = npv.size
+        # v minus its pivot coordinates times the RREF basis: the coset's
+        # canonical representative, zero at every pivot
         proj = linalg.identity(total)
-        if r:
-            e = zeros(total, r)
-            for k, c in enumerate(piv):
-                e[c, k] = 1
-            proj = (proj - matmul_mod(e, s.basis, p)) % p
+        if piv:
+            proj[piv] = (proj[piv] - s.basis) % p
         proj_blocks[d] = proj[:, npv]
     actions: list[dict[int, np.ndarray]] = [{} for _ in range(m.n_plus_1)]
     for i in range(m.n_plus_1):

@@ -125,10 +125,6 @@ def syzygy(m: GradedModule, k: int = 1) -> GradedModule:
     return cur
 
 
-def is_free(m: GradedModule) -> bool:
-    return syzygy_step(m)[0].is_zero()
-
-
 def injective_envelope(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Minimal injective envelope, built as the dual of a minimal cover."""
     cover, epi = projective_cover(gmod.dual(m))
@@ -501,9 +497,9 @@ def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
         blocks = {}
         for d in sub_incl.source.degrees:
             moved = matmul_mod(sub_incl.block(d), big.block(d), p)
-            tgt_basis = tgt_incl.block(d)
             if tgt_sub.dim(d):
-                piv = subspace_from_rows(tgt_basis, big.target.dim(d), p).pivots
+                # the inclusion block is a kernel basis, already in RREF
+                piv = Subspace(big.target.dim(d), tgt_incl.block(d), p).pivots
                 blocks[d] = moved[:, piv]
             else:
                 if moved.any():

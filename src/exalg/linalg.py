@@ -233,11 +233,9 @@ class Subspace:
 
     @property
     def pivots(self) -> list[int]:
-        out = []
-        for row in self.basis:
-            nz = np.nonzero(row)[0]
-            out.append(int(nz[0]))
-        return out
+        if not self.basis.size:
+            return []
+        return np.argmax(self.basis != 0, axis=1).tolist()
 
     def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=np.int64) % self.p
@@ -290,33 +288,38 @@ def coords_in_rref_basis(vec: np.ndarray, s: Subspace) -> np.ndarray | None:
 
 
 def kernel_basis(mat, p: int) -> Subspace:
-    """Right null space {v : mat @ v = 0}, returned as rows of a Subspace."""
+    """Right null space {v : mat @ v = 0} as a Subspace whose basis is the
+    canonical RREF, obtained from one elimination."""
     a = _as_mat(mat)
     rows, cols = a.shape
     if cols == 0:
         return zero_subspace(0, p)
     if rows == 0:
         return full_subspace(cols, p)
-    rank, red, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    if not free:
+    # Eliminating the reversed columns leaves each pivot row with entries
+    # only left of its pivot, at free columns.  The kernel vector of free
+    # column f is then 1 at f, 0 at the other free columns and nonzero only
+    # at pivot columns right of f: with rows in ascending f these vectors
+    # already are the kernel's RREF.  The RREF is unique, so the result is
+    # byte-identical to re-reducing it.
+    rank, red, rev_pivots = rref(a[:, ::-1], p)
+    free_mask = np.ones(cols, dtype=bool)
+    pivots = [cols - 1 - c for c in rev_pivots]
+    free_mask[pivots] = False
+    free = np.flatnonzero(free_mask)
+    if not free.size:
         return zero_subspace(cols, p)
-    basis = zeros(len(free), cols)
-    basis[np.arange(len(free)), free] = 1
+    basis = zeros(free.size, cols)
+    basis[np.arange(free.size), free] = 1
     if pivots:
-        basis[:, pivots] = (-red[:rank, free].T) % p
-    return subspace_from_rows(basis, cols, p)
+        basis[:, pivots] = (-red[:rank, cols - 1 - free].T) % p
+    return Subspace(cols, basis, p)
 
 
 def left_kernel_basis(mat, p: int) -> Subspace:
     """Left null space {v : v @ mat = 0}."""
     a = _as_mat(mat)
     return kernel_basis(a.T, p)
-
-
-def row_space(mat, p: int) -> Subspace:
-    a = _as_mat(mat)
-    return subspace_from_rows(a, a.shape[1], p)
 
 
 def solve(a, b, p: int) -> np.ndarray | None:

@@ -16,6 +16,9 @@ from .gmod import GradedModule
 from .linalg import check_prime
 
 FORMAT_VERSION = "1"
+# Cap on each degree's dimension.  It bounds the largest dense action block
+# a file can ask for: 2^13 x 2^13 int64 entries, 512 MiB.
+MAX_DEGREE_DIM = 1 << 13
 
 
 class ModuleFileError(ValueError):
@@ -56,42 +59,48 @@ def parse_dict(data: dict) -> GradedModule:
     if data.get("version") != FORMAT_VERSION:
         raise ModuleFileError(f"unsupported format version {data.get('version')!r}")
     try:
-        p = int(data["p"])
-        n_plus_1 = int(data["n_plus_1"])
+        p = data["p"]
+        n_plus_1 = data["n_plus_1"]
         dims_raw = data["dims"]
         actions_raw = data["actions"]
     except KeyError as missing:
         raise ModuleFileError(f"missing field {missing.args[0]!r}") from None
+    # JSON integers only (`type(x) is int`): a float would be truncated, and
+    # bool is an int subclass
+    if type(p) is not int or type(n_plus_1) is not int:
+        raise ModuleFileError("p and n_plus_1 must be integers")
     try:
         check_prime(p)
     except ValueError as bad:
         raise ModuleFileError(str(bad)) from None
     if n_plus_1 < 1:
         raise ModuleFileError("n_plus_1 must be positive")
-    try:
-        dims = {int(k): int(v) for k, v in dims_raw.items()}
-    except (TypeError, ValueError, AttributeError):
-        raise ModuleFileError("dims must map decimal-string degrees to counts") from None
-    for d, c in dims.items():
-        if c < 0:
-            raise ModuleFileError(f"negative dimension in degree {d}")
+    if not isinstance(dims_raw, dict):
+        raise ModuleFileError("dims must map decimal-string degrees to counts")
+    dims: dict[int, int] = {}
+    for key, c in dims_raw.items():
+        d = _degree(key)
+        if type(c) is not int or not 0 <= c <= MAX_DEGREE_DIM:
+            raise ModuleFileError(f"dimension in degree {d} must be an integer in [0, {MAX_DEGREE_DIM}]")
+        dims[d] = c
     if not isinstance(actions_raw, list) or len(actions_raw) != n_plus_1:
         raise ModuleFileError("actions must be an array with one object per variable")
     actions: list[dict[int, np.ndarray]] = []
     for i, block in enumerate(actions_raw):
+        if not isinstance(block, dict):
+            raise ModuleFileError(f"action x_{i} must be an object keyed by degree")
         out: dict[int, np.ndarray] = {}
         for key, flat in block.items():
-            d = int(key)
+            d = _degree(key)
             rows = dims.get(d, 0)
             cols = dims.get(d + 1, 0)
-            if len(flat) != rows * cols:
+            if not isinstance(flat, list) or len(flat) != rows * cols:
                 raise ModuleFileError(
-                    f"action x_{i} at degree {d}: expected {rows}x{cols} entries, got {len(flat)}"
+                    f"action x_{i} at degree {d}: expected a list of {rows}x{cols} entries"
                 )
-            mat = np.array([int(x) for x in flat], dtype=np.int64).reshape(rows, cols)
-            if mat.size and (mat.min() < 0 or mat.max() >= p):
-                raise ModuleFileError(f"action x_{i} at degree {d}: entries outside [0, p)")
-            out[d] = mat
+            if not all(type(x) is int and 0 <= x < p for x in flat):
+                raise ModuleFileError(f"action x_{i} at degree {d}: entries must be integers in [0, p)")
+            out[d] = np.array(flat, dtype=np.int64).reshape(rows, cols)
         actions.append(out)
     try:
         m = GradedModule(n_plus_1, p, dims, actions)
@@ -103,9 +112,19 @@ def parse_dict(data: dict) -> GradedModule:
     return m
 
 
+def _degree(key: str) -> int:
+    # canonical decimal only, so "01" and "1" cannot both name degree 1
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ModuleFileError(f"degree key {key!r} is not a decimal integer")
+
+
 def parse(text: str) -> GradedModule:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as bad:
+    except ValueError as bad:  # JSONDecodeError, or an integer too long to convert
         raise ModuleFileError(f"not valid JSON: {bad}") from None
     return parse_dict(data)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exalg import constructions as cons
 from exalg import gmod, modfile
@@ -62,6 +64,84 @@ def test_parse_rejects_malformed():
     bad["actions"][0]["0"] = [1, 2, 3]
     with pytest.raises(modfile.ModuleFileError, match="expected"):
         modfile.parse_dict(bad)
+    # wrong JSON types and oversized dimensions: an error, never a
+    # traceback or a silent truncation
+    mutations = [
+        lambda d: d["actions"].__setitem__(0, [[1]]),  # block as a list
+        lambda d: d["actions"][0].__setitem__("0", 5),  # entry not a list
+        lambda d: d["actions"][0].__setitem__("0", [1.7]),
+        lambda d: d["actions"][0].__setitem__("0", [True]),
+        lambda d: d["actions"][0].__setitem__("zero", [1]),
+        lambda d: d["dims"].__setitem__("01", 1),  # a second name for degree 1
+        lambda d: d["dims"].__setitem__("None", 1),
+        lambda d: d["dims"].__setitem__("0", 1.5),
+        lambda d: d["dims"].__setitem__("0", True),
+        lambda d: d["dims"].__setitem__("0", "1"),
+        lambda d: d["dims"].__setitem__("7", 10**12),
+        lambda d: d["dims"].__setitem__("7", modfile.MAX_DEGREE_DIM + 1),
+        lambda d: d.__setitem__("dims", [1, 1]),
+        lambda d: d.__setitem__("p", "32003"),
+        lambda d: d.__setitem__("n_plus_1", 2.0),
+    ]
+    for mutate in mutations:
+        bad = json.loads(json.dumps(good))
+        mutate(bad)
+        with pytest.raises(modfile.ModuleFileError):
+            modfile.parse_dict(bad)
+    with pytest.raises(modfile.ModuleFileError, match="JSON"):
+        modfile.parse('{"p": 1' + "0" * 5000 + "}")  # beyond int conversion
+
+
+FUZZ_BASES = [
+    modfile.to_dict(cons.point_module(3, np.array([1, 2, 3]), P)),
+    modfile.to_dict(gmod.free_module(2, P, [0, 1])),
+    modfile.to_dict(gmod.zero_module(2, P)),
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_slots(node):
+    """Every (container, key) pair of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _json_slots(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_fuzz_yields_module_or_module_file_error(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_json_slots(doc))
+        parent, key = data.draw(st.sampled_from(slots))
+        how = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if how == "replace":
+            parent[key] = data.draw(JSON_VALUES)
+        elif how == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=3))] = data.draw(JSON_VALUES)
+        else:
+            parent.insert(key, data.draw(JSON_VALUES))
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, len(text)))
+        hi = data.draw(st.integers(lo, min(len(text), lo + 4)))
+        text = text[:lo] + data.draw(st.text(max_size=3)) + text[hi:]
+    try:
+        m = modfile.parse(text)
+    except modfile.ModuleFileError:
+        return
+    assert isinstance(m, gmod.GradedModule)
 
 
 def test_parse_names_first_violated_invariant():

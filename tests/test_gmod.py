@@ -378,3 +378,13 @@ def test_composite_modulus_rejected():
 def test_negative_dimension_rejected():
     with pytest.raises(ValueError, match="negative dimension"):
         gmod.GradedModule(2, P, {0: 1, 1: -2}, [{}, {}])
+
+
+def test_validate_multiplies_only_stored_blocks(monkeypatch):
+    # absent action blocks are zero; validate must not build them densely
+    calls = []
+    real = gmod.matmul_mod
+    monkeypatch.setattr(gmod, "matmul_mod", lambda a, b, p: calls.append(1) or real(a, b, p))
+    m = gmod.GradedModule(3, P, {0: 64, 1: 64, 2: 64}, [{}, {}, {}])
+    assert gmod.validate(m) == []
+    assert calls == []

@@ -173,7 +173,8 @@ def test_lowest_step_whole_module_when_single_degree():
 
 def test_lowest_step_splits_mixed_sum():
     m = point_module(3)
-    mixed, _, _ = gmod.direct_power(m, 1)[0], None, None
+    single, _, _ = gmod.direct_sum(m)
+    assert single.dims == m.dims
     low = gmod.shift(m, 1)  # generated in degree -1
     total, _, _ = gmod.direct_sum(low, m)
     sub, incl, quot, _ = homology.lowest_step(total)

@@ -123,6 +123,25 @@ def test_kernel_of_row_vector():
     assert not k.contains(np.array([1, 0, 0]))
 
 
+
+@pytest.mark.parametrize("rows,cols", [(7, 9), (12, 5), (150, 130)])
+def test_kernel_basis_is_canonical_rref(rows, cols):
+    # rank-deficient inputs with zero columns, below and above the blocked
+    # elimination threshold
+    rng = np.random.default_rng(rows * cols)
+    for p in (5, P):
+        for _ in range(4 if rows * cols > la._BLOCK_THRESHOLD else 40):
+            rank = int(rng.integers(0, min(rows, cols)))
+            a = la.matmul_mod(
+                la.random_matrix(rng, rows, rank, p), la.random_matrix(rng, rank, cols, p), p
+            )
+            a[:, rng.integers(0, cols, size=int(rng.integers(1, cols)))] = 0
+            k = la.kernel_basis(a, p)
+            assert k == la.subspace_from_rows(k.basis, cols, p)
+            assert k.dim == cols - la.rref(a, p)[0]
+            assert not la.matmul_mod(a, k.basis.T, p).any()
+            assert k.pivots == [int(np.flatnonzero(row)[0]) for row in k.basis]
+
 def test_solve_identity():
     b = np.array([4, 7, 1])
     x = la.solve(np.eye(3, dtype=np.int64), b, P)
