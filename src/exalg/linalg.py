@@ -4,10 +4,12 @@ Dense exact linear algebra over a prime field F_p.
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Row
 reduction uses deterministic pivoting (first nonzero entry in column
 order), so every result is bit-reproducible.  Large eliminations go
-through a panel-blocked Gauss-Jordan whose trailing updates run as
-float64 BLAS products.  Every accepted prime is at most MAX_PRIME, so
-(p-1)^2 <= 2^53 and each product of two residues is exact in a double;
-the blocked kernel's int64 panel dot (under 64 such terms) cannot overflow.
+through a panel-blocked Gauss-Jordan that keeps the matrix in float64 and
+runs its trailing updates as BLAS products.  Every accepted prime is at
+most MAX_PRIME, so (p-1)^2 <= 2^53 and each product of two residues is
+exact in a double; the panel width w is capped so that w*(p-1)^2 <= 2^53,
+which keeps every panel product exact as well (w = 64 at p = 32003, w = 1
+at the largest accepted primes).
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def check_prime(p: int) -> int:
     return p
 
 
+def _exact_terms(p: int) -> int:
+    """Largest k with k*(p-1)^2 <= 2^53: a sum of k products of residues
+    mod p is then exact in a double.  At least 1 for every p <= MAX_PRIME."""
+    if p > MAX_PRIME:
+        raise ValueError(f"modulus {p} exceeds MAX_PRIME = {MAX_PRIME}")
+    return (1 << 53) // ((p - 1) * (p - 1))
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p, using float64 BLAS when the inner dimension allows.
 
@@ -101,9 +111,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         return zeros(a.shape[0], b.shape[1])
     if a.size == 0 or b.size == 0:
         return zeros(a.shape[0], b.shape[1])
-    if p > MAX_PRIME:
-        raise ValueError(f"modulus {p} exceeds MAX_PRIME = {MAX_PRIME}")
-    safe = (1 << 53) // ((p - 1) * (p - 1))
+    safe = _exact_terms(p)
     if k <= safe:
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.mod(c, p).astype(np.int64)
@@ -140,67 +148,65 @@ def _rref_small(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
 
 
 def _rref_blocked(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
-    # Gauss-Jordan with delayed rank-one updates: pending pivots are
-    # flushed as one exact BLAS product.  Column peeks and pivot-row reads
-    # apply the pending updates lazily, so the result matches the
+    # Gauss-Jordan with delayed rank-one updates, float64 throughout.  The
+    # current matrix is A - U[:, :k] @ V[:k] mod p: column peeks and pivot-row
+    # reads apply the k pending updates lazily, and a full panel is flushed
+    # into A as one BLAS product.  The panel width keeps every product and
+    # every A - U @ V exact in a double, so the result matches the
     # sequential elimination entry for entry.
     m, n = a.shape
-    A = a % p
-    pend_u: list[np.ndarray] = []  # multiplier columns (length m)
-    pend_v: list[np.ndarray] = []  # frozen normalized pivot rows (length n)
+    w = min(_PANEL, _exact_terms(p))
+    A = (a % p).astype(np.float64)
+    U = np.empty((m, w))  # multiplier columns
+    V = np.empty((w, n))  # normalized pivot rows, zero left of their pivot
+    k = 0
+    c0 = 0  # pivot column of V[0], the panel's first
     pivots: list[int] = []
     pivot_rows: list[int] = []
     used = np.zeros(m, dtype=bool)
 
     def flush() -> None:
-        nonlocal A
-        if not pend_u:
-            return
-        u = np.stack(pend_u, axis=1)
-        v = np.stack(pend_v, axis=0)
-        A = (A - matmul_mod(u, v, p)) % p
-        pend_u.clear()
-        pend_v.clear()
+        # V[:k] is zero left of c0, so the columns before it are final.
+        tail = A[:, c0:]
+        tail -= U[:, :k] @ V[:k, c0:]
+        np.mod(tail, p, out=tail)
 
     for col in range(n):
         if len(pivots) == m:
             break
-        cur = A[:, col].copy()
-        if pend_u:
-            # pending panel is narrow (< _PANEL), int64 dot stays exact
-            u = np.stack(pend_u, axis=1)
-            vc = np.array([row[col] for row in pend_v], dtype=np.int64)
-            cur = (cur - u @ vc) % p
-        cand = np.nonzero((cur != 0) & ~used)[0]
+        cur = np.mod(A[:, col] - U[:, :k] @ V[:k, col], p)
+        cand = np.flatnonzero((cur != 0) & ~used)
         if cand.size == 0:
             continue
         r = int(cand[0])
-        rowvec = A[r].copy()
-        if pend_u:
-            ur = np.array([uu[r] for uu in pend_u], dtype=np.int64)
-            v = np.stack(pend_v, axis=0)
-            rowvec = (rowvec - ur @ v) % p
-        rowvec = (rowvec * inv_mod(int(rowvec[col]), p)) % p
-        u_col = cur.copy()
-        u_col[r] = 0
-        # A's copy of the pivot row is brought current here, so its pending
-        # multipliers must be cleared or the flush would apply them twice.
-        A[r] = rowvec
-        for uu in pend_u:
-            uu[r] = 0
-        pend_u.append(u_col)
-        pend_v.append(rowvec)
+        rowvec = np.mod(A[r, col:] - U[r, :k] @ V[:k, col:], p)
+        rowvec = np.mod(rowvec * inv_mod(int(rowvec[0]), p), p)
+        if k == 0:
+            c0 = col
+        # Row r is zero left of col in exact arithmetic, but A's copy there
+        # is stale (its pending updates were never applied): write the zeros,
+        # or they survive into the output.  A[r] is now current, so its
+        # pending multipliers are cleared or the flush would apply them twice.
+        A[r, :col] = 0
+        A[r, col:] = rowvec
+        U[r, :k] = 0
+        U[:, k] = cur
+        U[r, k] = 0
+        V[k, :col] = 0
+        V[k, col:] = rowvec
+        k += 1
         used[r] = True
         pivots.append(col)
         pivot_rows.append(r)
-        if len(pend_u) >= _PANEL:
+        if k == w:
             flush()
-    flush()
+            k = 0
+    if k:
+        flush()
     rank = len(pivots)
     out = zeros(m, n)
-    for i, r in enumerate(pivot_rows):
-        out[i] = A[r]
     # rows never chosen as pivots are exactly zero after full reduction
+    out[:rank] = A[pivot_rows]
     return rank, out, pivots
 
 

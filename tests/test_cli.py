@@ -1,13 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exalg
 from exalg import constructions as cons
 from exalg import gmod, modfile
 from exalg import linalg as la
@@ -22,6 +25,19 @@ def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
     code = cli_main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_subprocess(argv):
+    """`python -m exalg.cli argv` in a fresh interpreter that imports the same
+    exalg as this test run, also when only pytest's pythonpath finds it."""
+    src = str(Path(exalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "exalg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def write_module(tmp_path, name, m):
@@ -323,19 +339,14 @@ def test_cli_env_prime_override(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_subprocess_entrypoint(point_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "exalg.cli", "validate", point_file],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_subprocess(["validate", point_file])
     assert proc.returncode == 0
     assert proc.stdout.startswith("valid")
 
 
 def test_cli_verify_json_deterministic_across_processes():
-    argv = [sys.executable, "-m", "exalg.cli", "verify", "--suite", "eisenbud",
-            "--n", "2", "--seed", "0", "--json"]
-    a = subprocess.run(argv, capture_output=True, text=True)
-    b = subprocess.run(argv, capture_output=True, text=True)
+    argv = ["verify", "--suite", "eisenbud", "--n", "2", "--seed", "0", "--json"]
+    a = run_subprocess(argv)
+    b = run_subprocess(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout

@@ -82,6 +82,40 @@ def test_rref_blocked_path_matches_small_path():
         assert np.array_equal(fast[1], slow[1])
 
 
+@pytest.mark.parametrize("p, width", [(5, la._PANEL), (32003, la._PANEL), (94906249, 1)])
+def test_rref_blocked_exact_for_every_prime_regime(p, width):
+    # Each prime sets the panel width through w*(p-1)^2 <= 2^53: full-width
+    # panels at 5 and 32003, one-column panels at the largest accepted prime.
+    assert min(la._PANEL, la._exact_terms(p)) == width
+    rng = np.random.default_rng(p)
+    for rows, cols in [(200, 83), (83, 200), (129, 129)]:
+        assert rows * cols > la._BLOCK_THRESHOLD
+        rank = min(rows, cols) - 9
+        x = rng.integers(0, p, size=(rows, rank)).astype(object)
+        y = rng.integers(0, p, size=(rank, cols)).astype(object)
+        a = np.array(x.dot(y) % p, dtype=np.int64)
+        a[:, [0, cols // 2]] = 0
+        a[rows // 3] = 0
+        fast = la._rref_blocked(a, p)
+        slow = la._rref_small(a, p)
+        assert fast[0] == slow[0] <= rank
+        assert fast[2] == slow[2]
+        assert fast[1].dtype == np.int64
+        assert 0 <= fast[1].min() and fast[1].max() < p
+        assert np.array_equal(fast[1], slow[1])
+
+
+@pytest.mark.parametrize("rows, cols", [(9, 12), (140, 150)])
+def test_rref_leaves_its_argument_unchanged(rows, cols):
+    rng = np.random.default_rng(rows)
+    base = rng.integers(-3 * P, 3 * P, size=(rows, cols), dtype=np.int64)
+    before = base.tobytes()
+    # kernel_basis hands rref the reversed-column view a[:, ::-1]
+    for arg in (base, base[:, ::-1]):
+        la.rref(arg, P)
+        assert base.tobytes() == before
+
+
 def test_matmul_mod_exactness_and_chunking():
     rng = np.random.default_rng(3)
     a = la.random_matrix(rng, 17, 23, P)
