@@ -62,7 +62,7 @@ def _load_pair(a: str, b: str, p: int):
 def _parse_form(text: str, n_plus_1: int) -> np.ndarray:
     parts = [int(x) for x in text.split(",")]
     if len(parts) != n_plus_1:
-        raise SystemExit(f"expected {n_plus_1} coefficients, got {len(parts)}")
+        raise ValueError(f"expected {n_plus_1} coefficients, got {len(parts)}")
     return np.array(parts, dtype=np.int64)
 
 
@@ -180,7 +180,7 @@ def cmd_construct(args, p) -> int:
     elif kind == "mu":
         n1 = args.n + 1
         if not args.forms:
-            raise SystemExit("construct mu needs --forms")
+            raise ValueError("construct mu needs --forms")
         rows = [
             _parse_form(chunk, n1) for chunk in args.forms.split(";") if chunk.strip()
         ]
@@ -193,17 +193,15 @@ def cmd_construct(args, p) -> int:
         n1 = args.n + 1
         form = _parse_form(args.xi, n1) if args.xi else np.eye(n1, dtype=np.int64)[0]
         _emit_module(cons.ar_sequence_middle(args.n, p, form).middle)
-    elif kind == "kron":
+    else:  # kron; argparse admits no other kind
         _emit_module(cons.kronecker_family(args.i, args.j, p))
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"unknown construction {kind!r}")
     return 0
 
 
 def cmd_filter(args, p) -> int:
     m = _load_module(args.file, p)
     try:
-        layers = cons.cx1_filtration(m, depth=args.depth, seed=args.seed)
+        layers = cons.cx1_filtration(m, seed=args.seed)
     except cons.NotComplexityOne as bad:
         print(f"NOT_CX1: {bad}")
         return 1
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("filter", help="split a complexity-one module into point layers")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=homology.DEFAULT_DEPTH)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_filter)
@@ -330,6 +327,8 @@ def cli_main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "n", 0) < 0:  # construct and verify
+            raise ValueError(f"--n must be nonnegative, got {args.n}")
         return args.fn(args, _prime_from_env())
     except modfile.ModuleFileError as bad:
         print(f"error: {bad}", file=sys.stderr)

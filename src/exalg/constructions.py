@@ -511,9 +511,7 @@ def _peel_point_layers(layer: GradedModule, xi: np.ndarray, seed: int) -> int | 
     return count
 
 
-def cx1_filtration(
-    m: GradedModule, depth: int = homology.DEFAULT_DEPTH, seed: int = 0
-) -> list[tuple[tuple[int, ...], int]]:
+def cx1_filtration(m: GradedModule, seed: int = 0) -> list[tuple[tuple[int, ...], int]]:
     """Refine a complexity-one module into point-module factors.
 
     Returns a bottom-up list of (normalized annihilating form, shift);
@@ -521,9 +519,9 @@ def cx1_filtration(
     NotComplexityOne when the input is not complexity one or a layer
     cannot be decomposed into copies of a single point class.
     """
-    est = homology.complexity(m, depth=depth, seed=seed)
-    if est.cx_regseq != 1:
-        raise NotComplexityOne(f"regular-sequence complexity is {est.cx_regseq}")
+    cx = m.n_plus_1 - len(homology.regular_sequence(m, seed=seed))
+    if cx != 1:
+        raise NotComplexityOne(f"regular-sequence complexity is {cx}")
     out: list[tuple[tuple[int, ...], int]] = []
     cur = m
     while not cur.is_zero():

@@ -50,6 +50,8 @@ class GradedModule:
 
     def __init__(self, n_plus_1: int, p: int, dims: dict[int, int], actions):
         self.n_plus_1 = int(n_plus_1)
+        if self.n_plus_1 < 1:
+            raise ValueError("n_plus_1 must be positive")
         self.p = linalg.check_prime(int(p))
         self.dims = {int(d): int(c) for d, c in dims.items() if int(c)}
         for d, c in self.dims.items():
@@ -678,10 +680,6 @@ def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
     ) if layout else zeros(nparams, 0)
     rank, red, _ = rref(flat, p)
     return [map_from_flat(a, b, red[k]) for k in range(rank)]
-
-
-def hom_space_dim(a: GradedModule, b: GradedModule) -> int:
-    return len(hom_space_maps(a, b))
 
 
 # -- isomorphism testing ----------------------------------------------------

@@ -64,26 +64,25 @@ class HomSpace:
         return [f for k, f in enumerate(self.basis) if k not in piv]
 
     def coords_of(self, f: ModuleMap) -> np.ndarray:
-        flats = self._flat_subspace()
+        flats = _flat_subspace(self.basis, self.source, self.target)
         coords = coords_in_rref_basis(gmod.flatten_map(f), flats)
         if coords is None:
             raise ValueError("map is not in the Hom space")
         return coords
 
-    def _flat_subspace(self) -> Subspace:
-        amb = gmod.hom_space_dim_layout(self.source, self.target)
-        if not self.basis:
-            return zero_subspace(amb, self.source.p)
-        mat = np.stack([gmod.flatten_map(f) for f in self.basis])
-        return Subspace(amb, mat, self.source.p)
+
+def _flat_subspace(basis: list[ModuleMap], a: GradedModule, b: GradedModule) -> Subspace:
+    """The span of a Hom(a, b) basis in the flattened map layout."""
+    amb = gmod.hom_space_dim_layout(a, b)
+    if not basis:
+        return zero_subspace(amb, a.p)
+    return Subspace(amb, np.stack([gmod.flatten_map(f) for f in basis]), a.p)
 
 
 def _coords_matrix(space_basis: list[ModuleMap], maps: list[ModuleMap], a, b) -> np.ndarray:
-    amb = gmod.hom_space_dim_layout(a, b)
-    p = a.p
     if not space_basis:
         return zeros(len(maps), 0)
-    flats = Subspace(amb, np.stack([gmod.flatten_map(f) for f in space_basis]), p)
+    flats = _flat_subspace(space_basis, a, b)
     rows = []
     for f in maps:
         coords = coords_in_rref_basis(gmod.flatten_map(f), flats)
@@ -257,8 +256,7 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     p = m.p
     if dim == 0:
         return FiniteAlgebra(0, p, np.zeros((0, 0, 0), dtype=np.int64), zeros(1, 0)[0], [zero_subspace(0, p)])
-    amb = gmod.hom_space_dim_layout(m, m)
-    flats = Subspace(amb, np.stack([gmod.flatten_map(f) for f in basis]), p)
+    flats = _flat_subspace(basis, m, m)
     mult = np.zeros((dim, dim, dim), dtype=np.int64)
     for i in range(dim):
         for j in range(dim):

@@ -165,6 +165,10 @@ class BettiTable:
     def betti_numbers(self) -> list[int]:
         return [len(r) for r in self.rows]
 
+    def is_linear(self) -> bool:
+        """True when row i sits entirely in degree i."""
+        return all(all(d == i for d in row) for i, row in enumerate(self.rows))
+
     def degree_counts(self, i: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for d in self.rows[i]:
@@ -231,10 +235,7 @@ def is_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
     Strict: a module generated away from degree zero fails; use
     is_shifted_linear to test linearity up to a grading shift.
     """
-    if m.is_zero():
-        return True
-    table = minimal_resolution(m, depth)
-    return all(all(d == i for d in row) for i, row in enumerate(table.rows))
+    return minimal_resolution(m, depth).is_linear()
 
 
 def is_shifted_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
@@ -326,16 +327,13 @@ def regular_element_test(m: GradedModule, form) -> bool:
         raise ValueError("the zero form is never regular")
     if m.is_zero():
         return True
-    lo, hi = m.min_deg, m.max_deg
-    prev_rank = 0
-    for d in range(lo, hi + 2):
-        mat = m.form_action(form, d - 1) if m.dim(d - 1) else zeros(0, m.dim(d))
-        img_rank = rref(mat, m.p)[0] if mat.size else 0
+    img_rank = 0  # the image in the lowest degree
+    for d in range(m.min_deg, m.max_deg + 1):
         cur = m.form_action(form, d)
         cur_rank = rref(cur, m.p)[0] if cur.size else 0
-        ker = m.dim(d) - cur_rank
-        if ker != img_rank:
+        if m.dim(d) - cur_rank != img_rank:
             return False
+        img_rank = cur_rank
     return True
 
 
@@ -375,13 +373,11 @@ class ComplexityEstimate:
         }
 
 
-def _betti_growth_degree(betti: list[int], depth: int, n_plus_1: int) -> int | None:
-    window = betti[(depth + 1) // 2 :]
-    if len(window) < 2:
-        return None
-    if all(b == 0 for b in window):
+def betti_complexity(table: BettiTable, n_plus_1: int) -> int | None:
+    """Growth degree of the upper half of the Betti numbers; None if unsettled."""
+    vals = table.betti_numbers[(table.depth + 1) // 2 :]
+    if len(vals) >= 2 and not any(vals):
         return 0
-    vals = window
     for g in range(n_plus_1):
         if len(vals) < 2:
             return None
@@ -391,19 +387,16 @@ def _betti_growth_degree(betti: list[int], depth: int, n_plus_1: int) -> int | N
     return None
 
 
-def complexity(
-    m: GradedModule,
-    depth: int = DEFAULT_DEPTH,
-    seed: int = 0,
-    trials: int = REGULAR_SEARCH_TRIALS,
-) -> ComplexityEstimate:
-    """Complexity via maximal regular sequences and via Betti growth.
+def regular_sequence(
+    m: GradedModule, seed: int = 0, trials: int = REGULAR_SEARCH_TRIALS
+) -> list[np.ndarray]:
+    """A maximal regular sequence of linear forms, found greedily (seeded).
 
-    The regular-sequence search is greedy and randomized (seeded): at each
-    step it samples linear forms and keeps the first one acting exactly on
-    the current quotient.  Over a large field a generic form is regular
-    whenever any form is, so the greedy length is the maximal one with
-    overwhelming probability.
+    At each step the search samples linear forms and keeps the first one
+    acting exactly on the current quotient.  Over a large field a generic
+    form is regular whenever any form is, so the greedy length is the
+    maximal one with overwhelming probability; the complexity of m is
+    n_plus_1 minus that length.
     """
     n1 = m.n_plus_1
     rng = np.random.default_rng(seed)
@@ -428,14 +421,24 @@ def complexity(
             break
         seq.append(found)
         cur = quotient_by_form_image(cur, found)
+    return seq
+
+
+def complexity(
+    m: GradedModule,
+    depth: int = DEFAULT_DEPTH,
+    seed: int = 0,
+    trials: int = REGULAR_SEARCH_TRIALS,
+) -> ComplexityEstimate:
+    """Complexity by both routes: regular_sequence and betti_complexity."""
+    seq = regular_sequence(m, seed, trials)
     table = minimal_resolution(m, depth)
-    betti = table.betti_numbers
     return ComplexityEstimate(
-        cx_regseq=n1 - len(seq),
-        cx_betti=_betti_growth_degree(betti, depth, n1),
+        cx_regseq=m.n_plus_1 - len(seq),
+        cx_betti=betti_complexity(table, m.n_plus_1),
         depth_used=depth,
         regular_sequence=seq,
-        betti_numbers=betti,
+        betti_numbers=table.betti_numbers,
     )
 
 

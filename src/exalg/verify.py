@@ -220,6 +220,15 @@ def _two_layer_fixture(p: int) -> gmod.GradedModule:
     return gmod.GradedModule(3, p, {0: 2, 1: 2}, [{0: x0}, {0: x1}, {0: x2}])
 
 
+def _cx_regseq(m: gmod.GradedModule, seed: int) -> int:
+    return m.n_plus_1 - len(homology.regular_sequence(m, seed=seed))
+
+
+def _cx_pair(m: gmod.GradedModule, table: homology.BettiTable, seed: int) -> tuple:
+    """(cx_regseq, cx_betti) of m, the Betti route read off m's resolution."""
+    return _cx_regseq(m, seed), homology.betti_complexity(table, m.n_plus_1)
+
+
 def suite_examples(n: int, seed: int, p: int) -> Suite:
     s = Suite("examples", n, seed, p)
     depth = _depth_for(n)
@@ -230,32 +239,28 @@ def suite_examples(n: int, seed: int, p: int) -> Suite:
         [],
         gmod.validate(m12),
     )
-    s.timed(
-        "examples:two-layer:linear",
-        f"{_X12_CLAIM} is linear",
-        True,
-        lambda: homology.is_linear(m12, 10),
-    )
+    table12 = homology.minimal_resolution(m12, 12)
+    s.add("examples:two-layer:linear", f"{_X12_CLAIM} is linear", True, table12.is_linear())
     s.timed(
         "examples:two-layer:z-regular",
         f"{_X12_CLAIM} has the last variable acting exactly",
         True,
         lambda: homology.regular_element_test(m12, np.array([0, 0, 1])),
     )
-    est12 = homology.complexity(m12, depth=12, seed=seed)
     s.add(
         "examples:two-layer:cx",
         f"{_X12_CLAIM} has complexity two by both measurements",
         (2, 2),
-        (est12.cx_regseq, est12.cx_betti),
+        _cx_pair(m12, table12, seed),
     )
-    diffs = [b - a for a, b in zip(est12.betti_numbers[6:], est12.betti_numbers[7:])]
+    window = table12.betti_numbers[6:]
+    diffs = [b - a for a, b in zip(window, window[1:])]
     s.add(
         "examples:two-layer:betti-linear",
         f"{_X12_CLAIM} has linearly growing Betti numbers",
         True,
         len(set(diffs)) == 1 and diffs[0] > 0,
-        window=est12.betti_numbers[6:],
+        window=window,
     )
     mloewy = gmod.square_truncate(gmod.free_module(3, p, [0]))
     rng = np.random.default_rng(seed)
@@ -266,12 +271,11 @@ def suite_examples(n: int, seed: int, p: int) -> Suite:
         False,
         any(homology.regular_element_test(mloewy, f) for f in forms if f.any()),
     )
-    estl = homology.complexity(mloewy, depth=12, seed=seed)
     s.add(
         "examples:loewy-two:cx",
         "that quotient has maximal complexity three",
         (3, 3),
-        (estl.cx_regseq, estl.cx_betti),
+        _cx_pair(mloewy, homology.minimal_resolution(mloewy, 12), seed),
     )
     mprime = homology.quotient_by_form_image(mloewy, _e(3, 0))
     s.add(
@@ -280,30 +284,29 @@ def suite_examples(n: int, seed: int, p: int) -> Suite:
         3,
         mprime.total_dim,
     )
-    estp = homology.complexity(mprime, depth=12, seed=seed)
     s.add(
         "examples:loewy-two:form-quotient-cx",
         "that quotient still has complexity three",
         (3, 3),
-        (estp.cx_regseq, estp.cx_betti),
+        _cx_pair(mprime, homology.minimal_resolution(mprime, 12), seed),
     )
     for k in range(1, n + 2):
         forms_k = np.eye(n + 1, dtype=np.int64)[:k]
         mu = cons.span_quotient(n + 1, forms_k, p)
-        s.timed(
+        table = homology.minimal_resolution(mu, depth)
+        s.add(
             f"examples:span-quotient:n={n}:k={k}:linear",
             "quotients by coordinate subspaces are linear",
             True,
-            lambda mu=mu: homology.is_linear(mu, depth),
+            table.is_linear(),
             span_dim=k,
             depth=depth,
         )
-        est = homology.complexity(mu, depth=depth, seed=seed)
         s.add(
             f"examples:span-quotient:n={n}:k={k}:cx",
             "the complexity of a span quotient is the span dimension",
             (k, k),
-            (est.cx_regseq, est.cx_betti),
+            _cx_pair(mu, table, seed),
             span_dim=k,
             depth=depth,
         )
@@ -488,7 +491,6 @@ def suite_relative(n: int, seed: int, p: int) -> Suite:
     total, (inc_a, _), (_, pr_b) = gmod.direct_sum(m, other)
     split = cons.Extension(m, total, other, inc_a, pr_b)
     fixtures.append(("split-mixed", split))
-    depth = _depth_for(n)
     for name, ext in fixtures:
         s.add(
             f"relative:n={n}:{name}:exact",
@@ -516,9 +518,7 @@ def suite_relative(n: int, seed: int, p: int) -> Suite:
             fixture=name,
         )
         def middle_cx(ext=ext):
-            ca = homology.complexity(ext.sub, depth=depth, seed=seed).cx_regseq
-            cb = homology.complexity(ext.middle, depth=depth, seed=seed).cx_regseq
-            cc = homology.complexity(ext.quot, depth=depth, seed=seed).cx_regseq
+            ca, cb, cc = (_cx_regseq(t, seed) for t in (ext.sub, ext.middle, ext.quot))
             return cb == max(ca, cc)
 
         s.timed(

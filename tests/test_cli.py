@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -292,6 +293,58 @@ def test_cli_filter_rejects_simple(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["filter", path], capsys=capsys)
     assert code == 1
     assert out.startswith("NOT_CX1")
+
+
+def test_cli_filter_takes_no_depth(tmp_path, capsys):
+    path = write_module(tmp_path, "m.json", cons.ar_sequence_middle(2, P).middle)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["filter", path, "--depth", "8"], capsys=capsys)
+    assert exc.value.code == 2
+
+
+# sha256 of `exalg complexity --json`, recorded before the complexity routes
+# were split into regular_sequence and betti_complexity
+COMPLEXITY_SHA256 = {
+    ("mu", "--n", "2", "--forms", "1,0,0;0,1,0"): (
+        ["--depth", "10"],
+        "645a48e187b63093e75822f3e343f9c75fba3c97dcbea42bccad1a6659e0cf3a",
+    ),
+    ("xxi", "--n", "3"): (
+        [],
+        "2882f77e087e417d547e442c256815b0d168fecc59610f8721cd3afcf3c354f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("construct", sorted(COMPLEXITY_SHA256))
+def test_cli_complexity_json_pinned(construct, tmp_path, capsys):
+    opts, digest = COMPLEXITY_SHA256[construct]
+    code, out, _ = run_cli(["construct", *construct], capsys=capsys)
+    assert code == 0
+    path = tmp_path / "m.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(["complexity", str(path), *opts, "--json"], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "mxi", "--n", "-1"],
+        ["construct", "xxi", "--n", "-1"],
+        ["construct", "pd", "--n", "-1"],
+        ["construct", "pd-explicit", "--n", "-1"],
+        ["verify", "--suite", "pd", "--n", "-1"],
+        ["construct", "mxi", "--xi", "1,0"],
+        ["construct", "mu", "--n", "2", "--forms", "1,0,0;0,1"],
+        ["construct", "mu"],
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ")
 
 
 def test_cli_kron_construct(capsys, monkeypatch):

@@ -289,7 +289,7 @@ def test_universal_extension_of_projective_has_quadratic_many_copies():
 def test_cx1_filtration_point_module():
     n = 2
     m = cons.point_module(n + 1, np.array([1, 2, 3]), P)
-    layers = cons.cx1_filtration(m, depth=8, seed=0)
+    layers = cons.cx1_filtration(m, seed=0)
     assert len(layers) == 1
     xi, shift_j = layers[0]
     assert shift_j == 0
@@ -300,7 +300,7 @@ def test_cx1_filtration_point_module():
 def test_cx1_filtration_filtration_projective():
     n = 2
     pd = cons.filtration_projective(n, 2, P)
-    layers = cons.cx1_filtration(pd, depth=8, seed=0)
+    layers = cons.cx1_filtration(pd, seed=0)
     assert len(layers) == n + 1
     assert all(j == 0 for _, j in layers)
     assert len({xi for xi, _ in layers}) == 1
@@ -310,7 +310,7 @@ def test_cx1_filtration_filtration_projective():
 def test_cx1_filtration_of_almost_split_middle():
     n = 2
     ext = cons.ar_sequence_middle(n, P)
-    layers = cons.cx1_filtration(ext.middle, depth=8, seed=0)
+    layers = cons.cx1_filtration(ext.middle, seed=0)
     assert layers == [
         (cons._normalize_form(x0(n + 1), P), n - 1),
         (cons._normalize_form(x0(n + 1), P), 0),
@@ -320,7 +320,7 @@ def test_cx1_filtration_of_almost_split_middle():
 def test_cx1_filtration_rejects_higher_complexity():
     s = gmod.simple_module(3, P, 0)
     with pytest.raises(cons.NotComplexityOne):
-        cons.cx1_filtration(s, depth=8, seed=0)
+        cons.cx1_filtration(s, seed=0)
 
 
 def test_cx1_filtration_generic_class_tower():
@@ -328,6 +328,6 @@ def test_cx1_filtration_generic_class_tower():
     xi = np.array([3, 1, 4], dtype=np.int64)
     m = cons.point_module(3, xi, P)
     tower = cons.universal_extension(m, m)[0].middle
-    layers = cons.cx1_filtration(tower, depth=8, seed=0)
+    layers = cons.cx1_filtration(tower, seed=0)
     want = cons._normalize_form(xi, P)
     assert layers == [(want, 0)] * 3

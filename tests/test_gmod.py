@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exalg import gmod
+from exalg import gmod, homalg
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
@@ -301,7 +301,7 @@ def test_hom_sweep_matches_dense_reference():
 
 def test_hom_of_free_rank_one_is_scalar():
     r = gmod.free_module(2, P, [0])
-    assert gmod.hom_space_dim(r, r) == 1
+    assert homalg.hom_dim(r, r) == 1
 
 
 def test_hom_with_zero_module():
@@ -378,6 +378,13 @@ def test_composite_modulus_rejected():
 def test_negative_dimension_rejected():
     with pytest.raises(ValueError, match="negative dimension"):
         gmod.GradedModule(2, P, {0: 1, 1: -2}, [{}, {}])
+
+
+def test_variable_count_must_be_positive():
+    for n_plus_1 in (0, -1):
+        with pytest.raises(ValueError, match="n_plus_1 must be positive"):
+            gmod.GradedModule(n_plus_1, P, {}, [])
+    assert gmod.zero_module(1, P).is_zero()
 
 
 def test_validate_multiplies_only_stored_blocks(monkeypatch):

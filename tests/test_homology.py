@@ -3,7 +3,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from exalg import gmod, homology
+from exalg import constructions as cons
+from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
@@ -282,6 +283,64 @@ def test_complexity_of_free_and_simple():
     est = homology.complexity(gmod.simple_module(2, P, 0), depth=8, seed=0)
     assert est.cx_regseq == 2
     assert est.cx_betti == 2
+
+
+def test_complexity_combines_the_two_routes():
+    for m, depth in ((point_module(3), 8), (example_module_two_layer(), 10)):
+        est = homology.complexity(m, depth=depth, seed=2)
+        seq = homology.regular_sequence(m, seed=2)
+        table = homology.minimal_resolution(m, depth)
+        assert est.cx_regseq == m.n_plus_1 - len(seq)
+        assert [v.tolist() for v in est.regular_sequence] == [v.tolist() for v in seq]
+        assert est.cx_betti == homology.betti_complexity(table, m.n_plus_1)
+        assert est.betti_numbers == table.betti_numbers
+        assert table.is_linear() == homology.is_linear(m, depth)
+
+
+def test_betti_complexity_window():
+    table = homology.BettiTable(6, [[0], [1] * 2, [2] * 3, [3] * 4, [4] * 5, [5] * 6, [6] * 7])
+    assert homology.betti_complexity(table, 3) == 2
+    assert homology.betti_complexity(homology.BettiTable(0, [[0]]), 3) is None
+    zero_tail = homology.BettiTable(4, [[0], [], [], [], []])
+    assert homology.betti_complexity(zero_tail, 2) == 0
+
+
+def test_regular_element_test_eliminates_once_per_degree(monkeypatch):
+    calls = []
+    real = homology.rref
+    monkeypatch.setattr(homology, "rref", lambda a, p: calls.append(a.shape) or real(a, p))
+    m = point_module(3)
+    assert homology.regular_element_test(m, np.array([0, 1, 0]))
+    assert len(calls) <= len(m.degrees)
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """Every (module, depth) pair homology.minimal_resolution is asked for."""
+    seen = []
+    real = homology.minimal_resolution
+
+    def counting(m, depth=homology.DEFAULT_DEPTH):
+        seen.append((modfile.serialize(m), depth))
+        return real(m, depth)
+
+    monkeypatch.setattr(homology, "minimal_resolution", counting)
+    return seen
+
+
+def test_regular_sequence_callers_build_no_resolution(resolutions):
+    ext = cons.ar_sequence_middle(2, P)
+    assert len(cons.cx1_filtration(ext.middle, seed=0)) == 2
+    checks = verify.run_suite("relative", n=2)
+    assert all(c.verdict == "PASS" for c in checks)
+    assert resolutions == []
+
+
+def test_examples_suite_resolves_each_module_once(resolutions):
+    checks = verify.run_suite("examples", n=2)
+    assert all(c.verdict == "PASS" for c in checks)
+    assert resolutions
+    assert len(set(resolutions)) == len(resolutions)
 
 
 def test_ar_translate_point_module():
