@@ -24,7 +24,6 @@ from .linalg import (
     kernel_basis,
     left_kernel_basis,
     matmul_mod,
-    reduce_mod_subspace,
     rref,
     zeros,
 )
@@ -182,13 +181,6 @@ class ExtClass:
     epi: ModuleMap  # P -> X
     cocycle: ModuleMap  # ΩX -> M
 
-    def is_trivial(self) -> bool:
-        space = homalg.hom_basis(self.syz, self.sub)
-        if not space.basis:
-            return True
-        coords = space.coords_of(self.cocycle)
-        return not reduce_mod_subspace(coords, space.ptriv).any()
-
 
 @dataclass
 class Extension:
@@ -199,18 +191,7 @@ class Extension:
     proj: ModuleMap
 
     def degreewise_exact(self) -> bool:
-        ok = all(
-            self.sub.dim(d) + self.quot.dim(d) == self.middle.dim(d)
-            for d in set(self.sub.dims) | set(self.middle.dims) | set(self.quot.dims)
-        )
-        p = self.sub.p
-        for d in self.sub.degrees:
-            if rref(self.incl.block(d), p)[0] != self.sub.dim(d):
-                ok = False
-        for d in self.quot.degrees:
-            if rref(self.proj.block(d), p)[0] != self.quot.dim(d):
-                ok = False
-        return ok and gmod.map_compose(self.incl, self.proj).is_zero()
+        return gmod.is_short_exact(self.incl, self.proj)
 
 
 def ext_class_basis(x: GradedModule, m: GradedModule) -> list[ExtClass]:
@@ -227,7 +208,7 @@ def realize_ext(c: ExtClass) -> Extension:
     exactly when the class is stably trivial.
     """
     p = c.sub.p
-    total, (inc_m, inc_p), _ = gmod.direct_sum(c.sub, c.cover)
+    total, (inc_m, _), (_, pr_p) = gmod.direct_sum(c.sub, c.cover)
     seeds: dict[int, list[np.ndarray]] = {}
     for d in c.syz.degrees:
         rows = np.hstack([
@@ -243,33 +224,16 @@ def realize_ext(c: ExtClass) -> Extension:
     incl = gmod.map_compose(inc_m, proj_to_mid)
     # the map E -> X induced by (m, q) -> epi(q): well-defined as the
     # antidiagonal maps to epi(incl(z)) = 0
-    big_blocks = {}
-    for d in total.degrees:
-        big = zeros(total.dim(d), c.quotient.dim(d))
-        if c.cover.dim(d) and c.quotient.dim(d):
-            big[c.sub.dim(d) :, :] = c.epi.block(d)
-        big_blocks[d] = big
-    sections = _section_indices(total, spans)
-    proj_blocks = {d: big_blocks[d][sections[d], :] for d in total.degrees if middle.dim(d)}
-    proj = ModuleMap(middle, c.quotient, proj_blocks)
+    proj = gmod.induced_on_quotient(middle, spans, gmod.map_compose(pr_p, c.epi))
     return Extension(c.sub, middle, c.quotient, incl, proj)
-
-
-def _section_indices(m: GradedModule, spans) -> dict[int, list[int]]:
-    out = {}
-    for d in m.degrees:
-        s = spans.get(d)
-        piv = set(s.pivots) if s is not None and s.dim else set()
-        out[d] = [c for c in range(m.dim(d)) if c not in piv]
-    return out
 
 
 def universal_extension(x: GradedModule, m: GradedModule):
     """Middle term realizing a full basis of first extensions of x by m.
 
     Returns (Extension, classes); the submodule is one copy of m per basis
-    class, and pushing out along each coordinate projection recovers that
-    class (checked by connecting_recovers_basis below).
+    class, and pushing the combined cocycle out along each coordinate
+    projection recovers that class.
     """
     classes = ext_class_basis(x, m)
     a = len(classes)
@@ -285,27 +249,6 @@ def universal_extension(x: GradedModule, m: GradedModule):
     cocycle = ModuleMap(base.syz, power, stacked_blocks)
     combined = ExtClass(x, power, base.syz, base.syz_incl, base.cover, base.epi, cocycle)
     return realize_ext(combined), classes
-
-
-def connecting_recovers_basis(x: GradedModule, m: GradedModule) -> bool:
-    """The coordinate projections of the universal extension hit the chosen
-    extension basis one for one."""
-    classes = ext_class_basis(x, m)
-    a = len(classes)
-    if a == 0:
-        return True
-    power, _, projs = gmod.direct_sum(*[m] * a)
-    space = homalg.hom_basis(classes[0].syz, m)
-    reps = space.stable_class_reps()
-    rep_coords = [reduce_mod_subspace(space.coords_of(r), space.ptriv) for r in reps]
-    stacked = {d: np.hstack([c.cocycle.block(d) for c in classes]) for d in classes[0].syz.degrees}
-    cocycle = ModuleMap(classes[0].syz, power, stacked)
-    for k in range(a):
-        pushed = gmod.map_compose(cocycle, projs[k])
-        got = reduce_mod_subspace(space.coords_of(pushed), space.ptriv)
-        if not np.array_equal(got, rep_coords[k]):
-            return False
-    return True
 
 
 def filtration_projective(n: int, d: int, p: int) -> GradedModule:

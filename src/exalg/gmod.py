@@ -427,16 +427,21 @@ def submodule_from_subspaces(m: GradedModule, spans: dict[int, Subspace]):
     return sub, incl
 
 
+def _nonpivots(total: int, s: Subspace | None) -> np.ndarray:
+    """The coordinates off s's pivots: the quotient's basis slots."""
+    return np.delete(np.arange(total), s.pivots if s else [])
+
+
 def quotient_by_subspaces(m: GradedModule, spans: dict[int, Subspace]):
     """Quotient by an action-stable family of subspaces, with projection."""
     p = m.p
     dims: dict[int, int] = {}
     proj_blocks: dict[int, np.ndarray] = {}
-    nonpiv: dict[int, list[int]] = {}
+    nonpiv: dict[int, np.ndarray] = {}
     for d, total in m.dims.items():
         s = spans.get(d)
         piv = s.pivots if s else []
-        npv = np.delete(np.arange(total), piv)
+        npv = _nonpivots(total, s)
         nonpiv[d] = npv
         dims[d] = npv.size
         # v minus its pivot coordinates times the RREF basis: the coset's
@@ -454,6 +459,31 @@ def quotient_by_subspaces(m: GradedModule, spans: dict[int, Subspace]):
     quot = GradedModule(m.n_plus_1, p, {d: c for d, c in dims.items() if c}, actions)
     proj = ModuleMap(m, quot, {d: b for d, b in proj_blocks.items() if b.size})
     return quot, proj
+
+
+def induced_on_quotient(quot: GradedModule, spans: dict[int, Subspace], f: ModuleMap) -> ModuleMap:
+    """The map quot -> f.target that f induces, for quot the quotient of
+    f.source by spans and f vanishing on spans.
+
+    Basis slot c of the quotient is the coset of the unit vector e_c, so the
+    induced map takes f's rows at the non-pivot coordinates.
+    """
+    blocks = {d: f.block(d)[_nonpivots(f.source.dim(d), spans.get(d))] for d in quot.degrees}
+    return ModuleMap(quot, f.target, blocks)
+
+
+def is_short_exact(incl: ModuleMap, proj: ModuleMap) -> bool:
+    """Degree-wise exactness of A -> B -> C: incl injective, proj surjective,
+    the composite zero and dim A + dim C = dim B in every degree."""
+    a, b, c = incl.source, incl.target, proj.target
+    p = a.p
+    if any(a.dim(d) + c.dim(d) != b.dim(d) for d in set(a.dims) | set(b.dims) | set(c.dims)):
+        return False
+    if any(rref(incl.block(d), p)[0] != k for d, k in a.dims.items()):
+        return False
+    if any(rref(proj.block(d), p)[0] != k for d, k in c.dims.items()):
+        return False
+    return map_compose(incl, proj).is_zero()
 
 
 def sub_quotient(m: GradedModule, generators: list[tuple[int, np.ndarray]]):
@@ -520,22 +550,23 @@ def top_generators(m: GradedModule) -> list[tuple[int, np.ndarray]]:
     return gens
 
 
+def radical_image(m: GradedModule, spans: dict[int, Subspace]) -> dict[int, Subspace]:
+    """spans·J: one application of the radical to a graded subspace family of m."""
+    p = m.p
+    out: dict[int, Subspace] = {}
+    for d in m.degrees:
+        prev = spans.get(d - 1)
+        if prev is not None and prev.dim:
+            rows = np.vstack([matmul_mod(prev.basis, m.action(i, d - 1), p) for i in range(m.n_plus_1)])
+            out[d] = subspace_from_rows(rows, m.dim(d), p)
+        else:
+            out[d] = zero_subspace(m.dim(d), p)
+    return out
+
+
 def square_truncate(m: GradedModule) -> GradedModule:
     """Quotient by all products of two radical layers (radical-square zero)."""
-    p = m.p
-    spans: dict[int, Subspace] = {}
-    for d in m.degrees:
-        rows = []
-        for i in range(m.n_plus_1):
-            for j in range(m.n_plus_1):
-                a = m.action(i, d - 2)
-                b = m.action(j, d - 1)
-                if a.size and b.size:
-                    rows.append(matmul_mod(a, b, p))
-        if rows:
-            spans[d] = subspace_from_rows(np.vstack(rows), m.dim(d), p)
-    quot, _ = quotient_by_subspaces(m, spans)
-    return quot
+    return quotient_by_subspaces(m, radical_image(m, radical_subspaces(m)))[0]
 
 
 # -- Hom spaces ------------------------------------------------------------

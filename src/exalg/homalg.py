@@ -306,71 +306,24 @@ def truncated_poly_fingerprint(a: FiniteAlgebra, n: int, d: int) -> bool:
 # -- extensions over the radical-square-zero truncation ----------------------
 
 
-def _square_zero_free(n_plus_1: int, p: int, gen_degrees: list[int]) -> GradedModule:
-    """Free module over the square-zero truncation: a unit slot plus one
-    radical slot per variable, for each generator."""
-    gens = sorted(gen_degrees)
-    dims: dict[int, int] = {}
-    for g in gens:
-        dims[g] = dims.get(g, 0) + 1
-        dims[g + 1] = dims.get(g + 1, 0) + n_plus_1
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
-    for i in range(n_plus_1):
-        for d in sorted(dims):
-            rows, cols = dims.get(d, 0), dims.get(d + 1, 0)
-            if not rows or not cols:
-                continue
-            src = _sz_labels(n_plus_1, gens, d)
-            dst = {lab: c for c, lab in enumerate(_sz_labels(n_plus_1, gens, d + 1))}
-            mat = zeros(rows, cols)
-            for r, (k, slot) in enumerate(src):
-                if slot == -1:
-                    mat[r, dst[(k, i)]] = 1
-            actions[i][d] = mat
-    return GradedModule(n_plus_1, p, dims, actions)
-
-
-def _sz_labels(n_plus_1: int, gen_degrees: list[int], degree: int) -> list[tuple[int, int]]:
-    """(generator index, slot) labels: slot -1 is the unit, slot i >= 0 is x_i."""
-    gens = sorted(gen_degrees)
-    out = []
-    for k, g in enumerate(gens):
-        if g == degree:
-            out.append((k, -1))
-    for k, g in enumerate(gens):
-        if g + 1 == degree:
-            out.extend((k, i) for i in range(n_plus_1))
-    return out
-
-
 def _square_zero_cover(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
-    gens = gmod.top_generators(m)
-    degrees = [d for d, _ in gens]
-    cover = _square_zero_free(m.n_plus_1, m.p, degrees)
-    p = m.p
-    blocks: dict[int, np.ndarray] = {}
-    for e in cover.degrees:
-        labels = _sz_labels(m.n_plus_1, degrees, e)
-        rows = zeros(len(labels), m.dim(e))
-        for r, (k, slot) in enumerate(labels):
-            if not m.dim(e):
-                continue
-            d_k, v_k = gens[k]
-            if slot == -1:
-                rows[r] = v_k
-            else:
-                img = matmul_mod(v_k.reshape(1, -1), m.action(slot, d_k), p).ravel()
-                rows[r] = img
-        blocks[e] = rows
-    epi = ModuleMap(cover, m, blocks)
-    return cover, epi
+    """Minimal cover of a square-zero module over the square-zero algebra.
+
+    The ordinary free cover modulo its J² family, with the map the epi
+    induces there: well defined because m·J² = 0.
+    """
+    cover, epi = homology.projective_cover(m)
+    spans = gmod.radical_image(cover, gmod.radical_subspaces(cover))
+    quot, _ = gmod.quotient_by_subspaces(cover, spans)
+    return quot, gmod.induced_on_quotient(quot, spans, epi)
 
 
 def ext1_square_zero(mbar: GradedModule, nbar: GradedModule) -> int:
     """dim Ext^1 over the radical-square-zero algebra.
 
     Input modules must themselves be square-zero (all double products of
-    actions vanish).  Computed from a minimal square-zero presentation as
+    actions vanish).  The square-zero cover P0 of mbar is the ordinary
+    minimal free cover modulo its J² family, with the induced epi; Ext^1 is
     the cokernel of restriction Hom(P0, nbar) -> Hom(syzygy, nbar).
     """
     if not gmod.is_square_zero(mbar) or not gmod.is_square_zero(nbar):

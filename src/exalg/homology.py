@@ -217,18 +217,6 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
     return BettiTable(depth, rows)
 
 
-def resolution_differentials(m: GradedModule, depth: int) -> list[ModuleMap]:
-    """The chain maps F^{i+1} -> F^i of the minimal resolution."""
-    out: list[ModuleMap] = []
-    syz, incl, _, _ = syzygy_step(m)
-    for _ in range(depth):
-        syz2, incl2, _, epi2 = syzygy_step(syz)
-        out.append(gmod.map_compose(epi2, incl))
-        incl = incl2
-        syz = syz2
-    return out
-
-
 def is_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
     """True when row i of the resolution sits entirely in degree i.
 
@@ -262,23 +250,6 @@ def lowest_step(m: GradedModule):
     return sub, incl, quot, proj
 
 
-def _radical_power_family(m: GradedModule, spans: dict[int, Subspace]) -> dict[int, Subspace]:
-    """One application of the radical to a graded subspace family of m."""
-    p = m.p
-    out: dict[int, Subspace] = {}
-    for d in m.degrees:
-        prev = spans.get(d - 1)
-        rows = []
-        if prev is not None and prev.dim and m.dim(d):
-            for i in range(m.n_plus_1):
-                rows.append(matmul_mod(prev.basis, m.action(i, d - 1), p))
-        if rows:
-            out[d] = subspace_from_rows(np.vstack(rows), m.dim(d), p)
-        else:
-            out[d] = zero_subspace(m.dim(d), p)
-    return out
-
-
 def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
     """Radical-compatibility of a submodule: mJ^k meets it in exactly LJ^k."""
     sub = incl.source
@@ -299,8 +270,8 @@ def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
             meet = subspace_intersection(m_power[d], image_l)
             if meet != pushed:
                 return False
-        m_power = _radical_power_family(m, m_power)
-        l_power = _radical_power_family(sub, l_power)
+        m_power = gmod.radical_image(m, m_power)
+        l_power = gmod.radical_image(sub, l_power)
     return True
 
 
@@ -517,14 +488,4 @@ def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
         rhs = matmul_mod(incl_s.block(d), incl_b.block(d), p)
         if not np.array_equal(lhs, rhs):
             raise ValueError("syzygy restriction failed")
-    exact = True
-    for d in set(syz_a.dims) | set(syz_b.dims) | set(syz_c.dims):
-        if syz_a.dim(d) + syz_c.dim(d) != syz_b.dim(d):
-            exact = False
-        if rref(incl_s.block(d), p)[0] != syz_a.dim(d):
-            exact = False
-        if rref(proj_s.block(d), p)[0] != syz_c.dim(d):
-            exact = False
-    if not gmod.map_compose(incl_s, proj_s).is_zero():
-        exact = False
-    return incl_s, proj_s, exact
+    return incl_s, proj_s, gmod.is_short_exact(incl_s, proj_s)

@@ -345,13 +345,6 @@ def solve(a, b, p: int) -> np.ndarray | None:
     return x
 
 
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient != w.ambient:
-        raise DimensionMismatch("subspace ambient mismatch")
-    stacked = np.vstack([u.basis, w.basis]) if (u.dim or w.dim) else zeros(0, u.ambient)
-    return subspace_from_rows(stacked, u.ambient, u.p)
-
-
 def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
     if u.ambient != w.ambient:
         raise DimensionMismatch("subspace ambient mismatch")
@@ -366,6 +359,3 @@ def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
     vecs = matmul_mod(pairs.basis[:, : u.dim], u.basis, p)
     return subspace_from_rows(vecs, u.ambient, p)
 
-
-def random_matrix(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.ndarray:
-    return rng.integers(0, p, size=(rows, cols), dtype=np.int64)

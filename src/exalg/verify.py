@@ -596,6 +596,8 @@ class UnknownSuite(ValueError):
 def run_suite(name: str, n: int = 2, seed: int = 0, p: int | None = None) -> list[CheckResult]:
     from .linalg import DEFAULT_PRIME
 
+    if n < 1:
+        raise ValueError(f"verify needs n >= 1, got {n}")
     if p is None:
         p = DEFAULT_PRIME
     if name == "all":

@@ -13,6 +13,7 @@ from exalg import constructions as cons
 from exalg import gmod, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
+from test_linalg import random_matrix, subspace_sum
 
 P = la.DEFAULT_PRIME
 
@@ -148,7 +149,7 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
     for _ in range(1000):
         rows = int(rng.integers(0, 7))
         cols = int(rng.integers(0, 7))
-        a = la.random_matrix(rng, rows, cols, P)
+        a = random_matrix(rng, rows, cols, P)
         rank = la.rref(a, P)[0]
         if rank != la.rref(a.T, P)[0]:
             failures.append("rank-transpose")
@@ -158,9 +159,9 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
             break
     for _ in range(1000):
         amb = int(rng.integers(1, 6))
-        u = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
-        w = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
-        s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
+        u = la.subspace_from_rows(random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
+        w = la.subspace_from_rows(random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
+        s, i = subspace_sum(u, w), la.subspace_intersection(u, w)
         if s.dim + i.dim != u.dim + w.dim:
             failures.append("modular-law")
             break

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import exalg
 from exalg import constructions as cons
-from exalg import gmod, modfile
+from exalg import gmod, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
 
@@ -326,6 +326,45 @@ def test_cli_complexity_json_pinned(construct, tmp_path, capsys):
     code, out, _ = run_cli(["complexity", str(path), *opts, "--json"], capsys=capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `exalg construct` stdout, recorded before realize_ext built E -> X
+# through gmod.induced_on_quotient
+CONSTRUCT_SHA256 = {
+    ("mxi", "--n", "2"): "99b7c65ae18865b5b7a0748188d3f16a51e6c1871a701c2ea055e38fa832d3f7",
+    ("mu", "--n", "2", "--forms", "1,0,0;0,1,0"): (
+        "c719af95f113f2c7dd36d02201f8e61dff9531bd588b008f77c2d29f0af6995b"
+    ),
+    ("pd", "--n", "2", "--d", "3"): "97dc1b288f8466fb9f7cb4fcf4335b0d0dadd9fae29d283b00b3df7592d8d684",
+    ("pd", "--n", "3", "--d", "2"): "8c71cc7037735fcf991ac03bae8e8498753841c4001e9872cd7ebed8bfcad2b2",
+    ("pd-explicit", "--n", "2", "--d", "3"): (
+        "3aadaae70d72bad120f75d97b4cd8851a61dd9856edaf85be4b6f74084c8313f"
+    ),
+    ("xxi", "--n", "2"): "fdff2b02d577a93732a292a292a0ee3ad7eee29289f49bf39df9cb35d33f0554",
+    ("xxi", "--n", "3"): "f4e4ea0e173b1405b0214595b1049d2bdae1ba3fea54d790ac7180d8e840520f",
+    ("kron", "--i", "2"): "e5dfaaaa92a0d2e3759c4a27bc1cc07d52d163264d8269b7f9285b18d29f0648",
+    ("kron", "--i", "-2", "--j", "1"): "0866d0093b7ede6130e85257ddf9c88ae3ee4a635530644008fad55aaf88ae26",
+}
+
+
+@pytest.mark.parametrize("construct", sorted(CONSTRUCT_SHA256))
+def test_cli_construct_pinned(construct, capsys):
+    code, out, _ = run_cli(["construct", *construct], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[construct]
+
+
+@pytest.mark.parametrize("suite", ["pd", "eisenbud", "relative"])
+def test_cli_verify_rejects_n_zero(suite, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, "--n", "0"], capsys=capsys)
+    assert code == 2 and not out
+    assert err == "error: verify needs n >= 1, got 0\n"
+
+
+def test_run_suite_rejects_n_below_one():
+    for name in ("all", "pd"):
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify.run_suite(name, n=0)
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,19 @@ def test_direct_sum_dims_add_and_maps_commute():
         assert np.array_equal(roundtrip.block(d), ident.block(d))
 
 
+def test_is_short_exact_verdicts():
+    m = example_module_two_layer()
+    z = gmod.zero_module(3, P)
+    total, (ia, ib), (pa, pb) = gmod.direct_sum(m, m)
+    assert gmod.is_short_exact(ia, pb)
+    # dimensions add up and the composite vanishes, but incl is not injective
+    assert not gmod.is_short_exact(gmod.zero_map(m, total), pb)
+    # incl injective, proj surjective, dimensions add up, composite nonzero
+    assert not gmod.is_short_exact(ia, pa)
+    # incl injective, proj onto zero, composite zero, dimensions short by m
+    assert not gmod.is_short_exact(ia, gmod.zero_map(total, z))
+
+
 def test_sub_quotient_full_generators_of_cyclic():
     r = gmod.free_module(2, P, [0])
     gen = np.array([1])

@@ -203,7 +203,7 @@ def test_ext1_square_zero_simple_pair():
 
 
 def test_ext1_square_zero_projective_source():
-    free_sz = homalg._square_zero_free(2, P, [0])
+    free_sz = gmod.square_truncate(gmod.free_module(2, P, [0]))
     s1 = gmod.simple_module(2, P, 1)
     assert homalg.ext1_square_zero(free_sz, s1) == 0
 

@@ -6,6 +6,17 @@ from exalg import linalg as la
 P = la.DEFAULT_PRIME
 
 
+def random_matrix(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.ndarray:
+    return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+
+
+def subspace_sum(u: la.Subspace, w: la.Subspace) -> la.Subspace:
+    if u.ambient != w.ambient:
+        raise la.DimensionMismatch("subspace ambient mismatch")
+    stacked = np.vstack([u.basis, w.basis]) if (u.dim or w.dim) else la.zeros(0, u.ambient)
+    return la.subspace_from_rows(stacked, u.ambient, u.p)
+
+
 def rref_reference(a, p):
     """Textbook row reduction, one entry at a time (oracle for fast paths)."""
     arr = np.asarray(a, dtype=np.int64)
@@ -60,7 +71,7 @@ def test_rref_matches_reference_on_random():
     for _ in range(60):
         m = int(rng.integers(0, 9))
         n = int(rng.integers(0, 9))
-        a = la.random_matrix(rng, m, n, P)
+        a = random_matrix(rng, m, n, P)
         got = la.rref(a, P)
         want = rref_reference(a, P)
         assert got[0] == want[0]
@@ -71,7 +82,7 @@ def test_rref_matches_reference_on_random():
 def test_rref_blocked_path_matches_small_path():
     rng = np.random.default_rng(11)
     for rows, cols in [(140, 150), (150, 90), (200, 200)]:
-        a = la.random_matrix(rng, rows, cols, P)
+        a = random_matrix(rng, rows, cols, P)
         # plant rank deficiency
         a[rows // 2] = (3 * a[0] + 5 * a[1]) % P
         a[:, cols // 2] = 0
@@ -118,19 +129,19 @@ def test_rref_leaves_its_argument_unchanged(rows, cols):
 
 def test_matmul_mod_exactness_and_chunking():
     rng = np.random.default_rng(3)
-    a = la.random_matrix(rng, 17, 23, P)
-    b = la.random_matrix(rng, 23, 9, P)
+    a = random_matrix(rng, 17, 23, P)
+    b = random_matrix(rng, 23, 9, P)
     assert np.array_equal(la.matmul_mod(a, b, P), (a @ b) % P)
     # tiny prime exercises the chunked accumulation path
     small_p = 5
-    a2 = la.random_matrix(rng, 8, 40, small_p)
-    b2 = la.random_matrix(rng, 40, 6, small_p)
+    a2 = random_matrix(rng, 8, 40, small_p)
+    b2 = random_matrix(rng, 40, 6, small_p)
     assert np.array_equal(la.matmul_mod(a2, b2, small_p), (a2 @ b2) % small_p)
     # the largest accepted prime: one-term chunks, checked against Python ints
     assert (la.MAX_PRIME - 1) ** 2 <= 2**53 < la.MAX_PRIME**2
     big_p = la.check_prime(94906249)
-    a3 = la.random_matrix(rng, 5, 7, big_p)
-    b3 = la.random_matrix(rng, 7, 4, big_p)
+    a3 = random_matrix(rng, 5, 7, big_p)
+    b3 = random_matrix(rng, 7, 4, big_p)
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % big_p for col in b3.T] for row in a3]
     assert la.matmul_mod(a3, b3, big_p).tolist() == want
     with pytest.raises(ValueError, match="prime"):
@@ -167,7 +178,7 @@ def test_kernel_basis_is_canonical_rref(rows, cols):
         for _ in range(4 if rows * cols > la._BLOCK_THRESHOLD else 40):
             rank = int(rng.integers(0, min(rows, cols)))
             a = la.matmul_mod(
-                la.random_matrix(rng, rows, rank, p), la.random_matrix(rng, rank, cols, p), p
+                random_matrix(rng, rows, rank, p), random_matrix(rng, rank, cols, p), p
             )
             a[:, rng.integers(0, cols, size=int(rng.integers(1, cols)))] = 0
             k = la.kernel_basis(a, p)
@@ -199,8 +210,8 @@ def test_solve_dimension_mismatch():
 
 def test_solve_consistent_random():
     rng = np.random.default_rng(5)
-    a = la.random_matrix(rng, 6, 4, P)
-    x = la.random_matrix(rng, 4, 3, P)
+    a = random_matrix(rng, 6, 4, P)
+    x = random_matrix(rng, 4, 3, P)
     b = la.matmul_mod(a, x, P)
     for col in b.T:
         got = la.solve(a, col, P)
@@ -210,8 +221,8 @@ def test_solve_consistent_random():
 
 def test_subspace_ops_equal_inputs():
     rng = np.random.default_rng(1)
-    u = la.subspace_from_rows(la.random_matrix(rng, 2, 5, P), 5, P)
-    s, i = la.subspace_sum(u, u), la.subspace_intersection(u, u)
+    u = la.subspace_from_rows(random_matrix(rng, 2, 5, P), 5, P)
+    s, i = subspace_sum(u, u), la.subspace_intersection(u, u)
     assert s == u
     assert i == u
 
@@ -219,7 +230,7 @@ def test_subspace_ops_equal_inputs():
 def test_subspace_ops_complementary_axes():
     u = la.subspace_from_rows(np.array([[1, 0]]), 2, P)
     w = la.subspace_from_rows(np.array([[0, 1]]), 2, P)
-    s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
+    s, i = subspace_sum(u, w), la.subspace_intersection(u, w)
     assert s.dim == 2
     assert i.dim == 0
 
@@ -227,7 +238,7 @@ def test_subspace_ops_complementary_axes():
 def test_subspace_ops_two_lines_in_three_space():
     u = la.subspace_from_rows(np.array([[1, 2, 3]]), 3, P)
     w = la.subspace_from_rows(np.array([[1, 0, 1]]), 3, P)
-    s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
+    s, i = subspace_sum(u, w), la.subspace_intersection(u, w)
     assert s.dim == 2
     assert i.dim == 0
 
@@ -237,7 +248,7 @@ def test_rank_transpose_and_rank_nullity_random():
     for _ in range(200):
         rows = int(rng.integers(0, 8))
         cols = int(rng.integers(0, 8))
-        a = la.random_matrix(rng, rows, cols, P)
+        a = random_matrix(rng, rows, cols, P)
         rank = la.rref(a, P)[0]
         assert rank == la.rref(a.T, P)[0]
         assert la.kernel_basis(a, P).dim + rank == cols
@@ -247,15 +258,15 @@ def test_modular_law_random():
     rng = np.random.default_rng(43)
     for _ in range(200):
         amb = int(rng.integers(1, 7))
-        u = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 5)), amb, P), amb, P)
-        w = la.subspace_from_rows(la.random_matrix(rng, int(rng.integers(0, 5)), amb, P), amb, P)
-        s, i = la.subspace_sum(u, w), la.subspace_intersection(u, w)
+        u = la.subspace_from_rows(random_matrix(rng, int(rng.integers(0, 5)), amb, P), amb, P)
+        w = la.subspace_from_rows(random_matrix(rng, int(rng.integers(0, 5)), amb, P), amb, P)
+        s, i = subspace_sum(u, w), la.subspace_intersection(u, w)
         assert s.dim + i.dim == u.dim + w.dim
 
 
 def test_coords_in_rref_basis_roundtrip():
     rng = np.random.default_rng(9)
-    basis = la.subspace_from_rows(la.random_matrix(rng, 3, 7, P), 7, P)
+    basis = la.subspace_from_rows(random_matrix(rng, 3, 7, P), 7, P)
     c = np.array([2, 5, 11], dtype=np.int64)[: basis.dim]
     v = la.matmul_mod(c.reshape(1, -1), basis.basis, P).ravel()
     got = la.coords_in_rref_basis(v, basis)
