@@ -54,27 +54,15 @@ def _completion_to_basis(forms: np.ndarray, p: int) -> np.ndarray:
 
 
 def _coordinate_span_quotient(n_plus_1: int, p: int, k: int) -> GradedModule:
-    """R modulo the ideal of the first k coordinate forms, built directly.
+    """R modulo the ideal of the first k coordinate forms.
 
-    Basis: exterior monomials in the remaining letters; the first k
-    variables act by zero, the rest by signed wedge.
+    This is the free rank-one module over the remaining letters, on which
+    the first k variables act by zero.
     """
-    letters = list(range(k, n_plus_1))
-    basis = [
-        [tuple(mon) for mon in exterior.basis_of_degree(len(letters), j)]
-        for j in range(len(letters) + 1)
-    ]
-    # relabel monomials into the ambient alphabet
-    basis = [[tuple(letters[t] for t in mon) for mon in row] for row in basis]
-    dims = {j: len(row) for j, row in enumerate(basis) if row}
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
-    for i in range(k, n_plus_1):
-        form = np.zeros(n_plus_1, dtype=np.int64)
-        form[i] = 1
-        for j in range(len(letters)):
-            if dims.get(j) and dims.get(j + 1):
-                actions[i][j] = exterior.right_mult_matrix(basis[j], basis[j + 1], form, p)
-    return GradedModule(n_plus_1, p, dims, actions)
+    if k == n_plus_1:
+        return gmod.simple_module(n_plus_1, p)
+    rest = gmod.free_module(n_plus_1 - k, p, [0])
+    return GradedModule(n_plus_1, p, rest.dims, [{}] * k + rest.actions)
 
 
 def span_quotient(n_plus_1: int, forms, p: int) -> GradedModule:

@@ -170,10 +170,6 @@ class ModuleMap:
                     return False
         return True
 
-    def apply(self, d: int, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64).reshape(1, -1)
-        return matmul_mod(v, self.block(d), self.source.p).ravel()
-
     def degreewise_bijective(self) -> bool:
         if self.source.dims != self.target.dims:
             return False

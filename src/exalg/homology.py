@@ -129,8 +129,8 @@ def injective_envelope(m: GradedModule) -> tuple[GradedModule, ModuleMap]:
     """Minimal injective envelope, built as the dual of a minimal cover."""
     cover, epi = projective_cover(gmod.dual(m))
     env = gmod.dual(cover)
-    mono_raw = gmod.dual_map(epi)
-    mono = ModuleMap(m, env, mono_raw.blocks)
+    # the dual of epi, read as a map out of dual(dual(m)) == m
+    mono = ModuleMap(m, env, {-d: b.T for d, b in epi.blocks.items()})
     return env, mono
 
 
@@ -204,15 +204,19 @@ class BettiTable:
 
 
 def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTable:
-    """Generator degrees of the minimal free resolution up to F^depth."""
+    """Generator degrees of the minimal free resolution up to F^depth.
+
+    F^i's generators are the top of Omega^i, so a depth-k resolution builds
+    Omega^1 ... Omega^k and nothing beyond.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rows: list[list[int]] = []
     cur = m
-    for _ in range(depth + 1):
+    for i in range(depth + 1):
         gens = gmod.top_generators(cur)
         rows.append([d for d, _ in gens])
-        if gens:
+        if gens and i < depth:
             cur = syzygy_step(cur, gens)[0]
     return BettiTable(depth, rows)
 
@@ -256,6 +260,7 @@ def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
     p = m.p
     m_power = {d: full_subspace(m.dim(d), p) for d in m.degrees}
     l_power = {d: full_subspace(sub.dim(d), p) for d in sub.degrees}
+    image_l = {d: subspace_from_rows(incl.block(d), m.dim(d), p) for d in m.degrees}
     loewy = (m.max_deg - m.min_deg + 2) if m.dims else 0
     for _ in range(loewy + 1):
         for d in m.degrees:
@@ -266,8 +271,7 @@ def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
                 )
             else:
                 pushed = zero_subspace(m.dim(d), p)
-            image_l = subspace_from_rows(incl.block(d), m.dim(d), p)
-            meet = subspace_intersection(m_power[d], image_l)
+            meet = subspace_intersection(m_power[d], image_l[d])
             if meet != pushed:
                 return False
         m_power = gmod.radical_image(m, m_power)
@@ -430,23 +434,16 @@ def lift_through_cover(f: ModuleMap, cover_degrees: list[int], epi: ModuleMap) -
     lift is a genuine module map with lift∘epi = f.
     """
     p = f.source.p
-    # generators of the free source are exactly the rows with empty monomial
-    images_by_slot: list[tuple[int, np.ndarray]] = []
-    degrees_sorted = sorted(cover_degrees)
-    for d in sorted(set(degrees_sorted)):
-        labels = gmod.free_basis_labels(f.source.n_plus_1, degrees_sorted, d)
-        for r, (kk, mon) in enumerate(labels):
-            if mon:
-                continue
-            target_vec = f.block(d)[r] if f.source.dim(d) and f.target.dim(d) else zeros(1, f.target.dim(d))[0]
-            pre = solve(epi.block(d).T, target_vec, p)
-            if pre is None:
-                raise ValueError("cannot lift through a non-surjective cover")
-            images_by_slot.append((kk, pre))
-    images_by_slot.sort(key=lambda t: t[0])
-    return free_map_from_generators(
-        f.source, degrees_sorted, epi.source, [v for _, v in images_by_slot]
-    )
+    gens = sorted(cover_degrees)
+    images: list[np.ndarray] = []
+    for k, g in enumerate(gens):
+        # generator k is the row labelled (k, empty monomial) in degree g
+        r = gmod.free_basis_labels(f.source.n_plus_1, gens, g).index((k, ()))
+        pre = solve(epi.block(g).T, f.block(g)[r], p)
+        if pre is None:
+            raise ValueError("cannot lift through a non-surjective cover")
+        images.append(pre)
+    return free_map_from_generators(f.source, gens, epi.source, images)
 
 
 def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
@@ -458,34 +455,28 @@ def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
     a, b, c = incl.source, incl.target, proj.target
     p = a.p
     gens_a, gens_b = gmod.top_generators(a), gmod.top_generators(b)
-    syz_a, incl_a, cover_a, epi_a = syzygy_step(a, gens_a)
-    syz_b, incl_b, cover_b, epi_b = syzygy_step(b, gens_b)
-    syz_c, incl_c, cover_c, epi_c = syzygy_step(c)
+    _, incl_a, _, epi_a = syzygy_step(a, gens_a)
+    _, incl_b, _, epi_b = syzygy_step(b, gens_b)
+    _, incl_c, _, epi_c = syzygy_step(c)
     degrees_a = [d for d, _ in gens_a]
     degrees_b = [d for d, _ in gens_b]
     # lift cover_a -> B through epi_b, and cover_b -> C through epi_c
     lift_ab = lift_through_cover(gmod.map_compose(epi_a, incl), degrees_a, epi_b)
     lift_bc = lift_through_cover(gmod.map_compose(epi_b, proj), degrees_b, epi_c)
-    # restrict to kernels
-    def restrict(big: ModuleMap, sub_incl: ModuleMap, tgt_sub: GradedModule, tgt_incl: ModuleMap) -> ModuleMap:
+
+    # restrict to kernels, checking each block where it is built
+    def restrict(big: ModuleMap, sub_incl: ModuleMap, tgt_incl: ModuleMap) -> ModuleMap:
+        """big on sub_incl's source, as a map into tgt_incl's source."""
         blocks = {}
         for d in sub_incl.source.degrees:
             moved = matmul_mod(sub_incl.block(d), big.block(d), p)
-            if tgt_sub.dim(d):
-                # the inclusion block is a kernel basis, already in RREF
-                piv = Subspace(big.target.dim(d), tgt_incl.block(d), p).pivots
-                blocks[d] = moved[:, piv]
-            else:
-                if moved.any():
-                    raise ValueError("restriction does not land in the target kernel")
-        return ModuleMap(sub_incl.source, tgt_sub, blocks)
+            # the inclusion block is a kernel basis, already in RREF
+            emb = tgt_incl.block(d)
+            blocks[d] = moved[:, Subspace(big.target.dim(d), emb, p).pivots]
+            if not np.array_equal(matmul_mod(blocks[d], emb, p), moved):
+                raise ValueError("restriction does not land in the target kernel")
+        return ModuleMap(sub_incl.source, tgt_incl.source, blocks)
 
-    incl_s = restrict(lift_ab, incl_a, syz_b, incl_b)
-    proj_s = restrict(lift_bc, incl_b, syz_c, incl_c)
-    # verify the restriction really lands where claimed
-    for d in syz_a.degrees:
-        lhs = matmul_mod(incl_a.block(d), lift_ab.block(d), p)
-        rhs = matmul_mod(incl_s.block(d), incl_b.block(d), p)
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("syzygy restriction failed")
+    incl_s = restrict(lift_ab, incl_a, incl_b)
+    proj_s = restrict(lift_bc, incl_b, incl_c)
     return incl_s, proj_s, gmod.is_short_exact(incl_s, proj_s)

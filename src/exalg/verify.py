@@ -370,11 +370,7 @@ def suite_pd(n: int, seed: int, p: int) -> Suite:
             f"pd:n={n}:d={d}:explicit-matches-inductive",
             "the closed-form presentation agrees with the inductive construction",
             "ISO",
-            lambda d=d: _iso_kind(
-                cons.filtration_projective_explicit(n, d, p),
-                cons.filtration_projective(n, d, p),
-                seed,
-            ),
+            lambda: _iso_kind(cons.filtration_projective_explicit(n, d, p), pd, seed),
             d=d,
         )
     return s
@@ -555,19 +551,16 @@ def suite_phi(n: int, seed: int, p: int) -> Suite:
         "filtration-projective-2": cons.filtration_projective(2, 2, p),
         "filtration-projective-3": cons.filtration_projective(2, 3, p),
     }
+    truncated = {name: gmod.square_truncate(f) for name, f in fixtures.items()}
     for vn, v in fixtures.items():
         for en, e in fixtures.items():
-            def compare(v=v, e=e):
-                lhs = homalg.ext_dim(v, e, 1)
-                rhs = homalg.ext1_square_zero(gmod.square_truncate(v), gmod.square_truncate(e))
-                return (lhs, rhs, lhs == rhs)
-
-            lhs, rhs, same = compare()
+            lhs = homalg.ext_dim(v, e, 1)
+            rhs = homalg.ext1_square_zero(truncated[vn], truncated[en])
             s.add(
                 f"phi:v={vn}:e={en}",
                 "first extensions agree with those of the radical-square-zero truncations",
                 True,
-                same,
+                lhs == rhs,
                 ext_over_full=lhs,
                 ext_over_truncation=rhs,
             )

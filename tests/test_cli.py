@@ -335,6 +335,12 @@ CONSTRUCT_SHA256 = {
     ("mu", "--n", "2", "--forms", "1,0,0;0,1,0"): (
         "c719af95f113f2c7dd36d02201f8e61dff9531bd588b008f77c2d29f0af6995b"
     ),
+    ("mu", "--n", "2", "--forms", "1,0,0;0,1,0;0,0,1"): (
+        "68cec7c57504b3064e8bb77d8430d993effae08eab71722facf3563d29ff0f98"
+    ),
+    ("mu", "--n", "3", "--forms", "1,0,0,0;0,1,0,0;0,0,1,0"): (
+        "3bfd54baa8eca88c798f546202d140f3e2f3ac411a68a22c91d1631999fc1b5a"
+    ),
     ("pd", "--n", "2", "--d", "3"): "97dc1b288f8466fb9f7cb4fcf4335b0d0dadd9fae29d283b00b3df7592d8d684",
     ("pd", "--n", "3", "--d", "2"): "8c71cc7037735fcf991ac03bae8e8498753841c4001e9872cd7ebed8bfcad2b2",
     ("pd-explicit", "--n", "2", "--d", "3"): (
@@ -396,7 +402,7 @@ def test_cli_kron_construct(capsys, monkeypatch):
 def test_cli_verify_unknown_suite(capsys, monkeypatch):
     code, _, err = run_cli(["verify", "--suite", "nope"], capsys=capsys)
     assert code == 2
-    assert "unknown suite" in err
+    assert err.startswith("error: unknown suite")
 
 
 def test_cli_verify_json_deterministic(capsys, monkeypatch):

@@ -10,6 +10,28 @@ from exalg import linalg as la
 P = la.DEFAULT_PRIME
 
 
+def test_syzygy_of_ses_checks_the_projection_restriction(monkeypatch):
+    a = point_module(3)
+    b = example_module_two_layer()
+    _, (ia, _), (_, pb) = gmod.direct_sum(a, b)
+    real = homology.lift_through_cover
+    calls = []
+
+    def skewed(f, degrees, epi):
+        calls.append(f)
+        if len(calls) == 2:
+            # replace cover_b -> C by a free map that does not vanish on the syzygy
+            gens = sorted(degrees)
+            first = np.eye(1, f.target.dim(gens[0]), dtype=np.int64)[0]
+            f = homology.free_map_from_generators(f.source, gens, f.target, [first] * len(gens))
+        return real(f, degrees, epi)
+
+    monkeypatch.setattr(homology, "lift_through_cover", skewed)
+    with pytest.raises(ValueError, match="does not land"):
+        homology.syzygy_of_ses(ia, pb)
+    assert len(calls) == 2
+
+
 def point_module(n_plus_1, index=0):
     """R modulo the ideal of one coordinate form, built as a raw quotient."""
     r = gmod.free_module(n_plus_1, P, [0])
@@ -105,6 +127,20 @@ def test_minimal_resolution_of_simple_matches_symmetric_powers():
     s = gmod.simple_module(n_plus_1, P, 0)
     table = homology.minimal_resolution(s, 6)
     assert table.betti_numbers == [comb(i + n_plus_1 - 1, n_plus_1 - 1) for i in range(7)]
+
+
+def test_resolution_builds_no_syzygy_beyond_its_depth(monkeypatch):
+    calls = []
+    real = homology.syzygy_step
+
+    def counting(m, gens=None):
+        calls.append(m.dims)
+        return real(m, gens)
+
+    monkeypatch.setattr(homology, "syzygy_step", counting)
+    table = homology.minimal_resolution(gmod.simple_module(3, P), 4)
+    assert len(calls) == 4  # Omega^1 .. Omega^4, nothing beyond
+    assert table.betti_numbers == [comb(2 + i, i) for i in range(5)]
 
 
 def resolution_differentials(m, depth):
