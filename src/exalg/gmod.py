@@ -320,12 +320,6 @@ def dual(m: GradedModule) -> GradedModule:
     return GradedModule(m.n_plus_1, m.p, dims, actions)
 
 
-def dual_map(f: ModuleMap) -> ModuleMap:
-    """Contravariant dual of a map: dual(target) -> dual(source)."""
-    blocks = {-d: mat.T for d, mat in f.blocks.items()}
-    return ModuleMap(dual(f.target), dual(f.source), blocks)
-
-
 def transport(m: GradedModule, a: np.ndarray) -> GradedModule:
     """Twist by the linear substitution x_i -> sum_j a[i, j] x_j.
 

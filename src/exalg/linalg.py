@@ -2,14 +2,25 @@
 Dense exact linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Row
-reduction uses deterministic pivoting (first nonzero entry in column
-order), so every result is bit-reproducible.  Large eliminations go
-through a panel-blocked Gauss-Jordan that keeps the matrix in float64 and
-runs its trailing updates as BLAS products.  Every accepted prime is at
-most MAX_PRIME, so (p-1)^2 <= 2^53 and each product of two residues is
-exact in a double; the panel width w is capped so that w*(p-1)^2 <= 2^53,
-which keeps every panel product exact as well (w = 64 at p = 32003, w = 1
-at the largest accepted primes).
+reduction returns the reduced row echelon form, which is unique, so every
+result is bit-reproducible whatever order the pivots are found in.  Small
+matrices are reduced one pivot at a time in int64.  Large ones go through a
+recursive Gauss-Jordan in float64: reduce the left half of the columns,
+bring the right half up to date with one product, recurse on the rows that
+are not yet pivots, then clear the left pivot rows at the new pivot columns
+with one more product.  Each half stores the row transform it applied in
+its own pivot columns (in-place inversion), so no triangular solve is
+needed.  Leaves of _PANEL columns find their pivots one at a time on their
+nonzero rows only.
+
+Exactness.  Every accepted prime is at most MAX_PRIME, so (p-1)^2 <= 2^53
+and each product of two residues is exact in a double.  A residue plus or
+minus a sum of w such products lies in [2p - 2^53, 2^53 - p] when
+w*(p-1)^2 <= 2^53 - 2p (_exact_terms; w = 1 at the largest accepted
+primes), and on that range _reduce computes x mod p exactly with one floor
+and one +-p correction, with no float modulo.  Longer products are split
+into runs of w terms.  matmul_mod sums at most w products per float run
+and reduces the exact integer result in int64.
 """
 
 from __future__ import annotations
@@ -24,8 +35,8 @@ DEFAULT_PRIME = 32003
 # Largest modulus with (p-1)^2 <= 2^53: the float64 exactness condition.
 MAX_PRIME = isqrt(1 << 53) + 1
 
-# Panel width for the blocked elimination, and the size threshold below
-# which the plain per-pivot loop is faster.
+# Column width of the recursive elimination's leaves, and the size
+# threshold below which the plain per-pivot loop is faster.
 _PANEL = 64
 _BLOCK_THRESHOLD = 1 << 14
 
@@ -88,18 +99,40 @@ def check_prime(p: int) -> int:
 
 
 def _exact_terms(p: int) -> int:
-    """Largest k with k*(p-1)^2 <= 2^53: a sum of k products of residues
-    mod p is then exact in a double.  At least 1 for every p <= MAX_PRIME."""
-    if p > MAX_PRIME:
-        raise ValueError(f"modulus {p} exceeds MAX_PRIME = {MAX_PRIME}")
-    return (1 << 53) // ((p - 1) * (p - 1))
+    """Largest w with w*(p-1)^2 <= 2^53 - 2p: a sum of w products of residues
+    mod p is then exact in a double, and a residue plus or minus such a sum
+    lies inside _reduce's range.  At least 1 for every accepted prime."""
+    w = ((1 << 53) - 2 * p) // ((p - 1) * (p - 1))
+    if w < 1:
+        raise ValueError(f"modulus {p} too large for exact float64 sums, MAX_PRIME = {MAX_PRIME}")
+    return w
+
+
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x <- x mod p in place, for integral float64 x in [2p - 2^53, 2^53 - p].
+
+    scratch is a float64 buffer of x's shape that the caller owns.  Proof of
+    exactness: fl(1/p) and the product x*fl(1/p) each carry a relative error
+    below 2^-53, so y = fl(x*fl(1/p)) is within |x|/p * 2^-52 <= 2/p < 1 of
+    x/p, and q = floor(y) is floor(x/p) + e with e in {-1, 0, 1}.  Then q*p
+    lies in [x - 2p + 1, x + p], inside [-2^53, 2^53] by the range of x, so
+    q*p is an exact double; x - q*p is an integer in [-p, 2p), exact as well,
+    and one +p or -p lands it in [0, p).
+    """
+    np.multiply(x, 1.0 / p, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= p
+    x -= scratch
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p, using float64 BLAS when the inner dimension allows.
 
-    A dot product of length k has magnitude at most k*(p-1)^2; as long as
-    that stays below 2^53 the float64 product is exact.  Longer inner
+    For entries of magnitude below p, a dot product of length k has
+    magnitude at most k*(p-1)^2; as long as that stays below 2^53 the
+    float64 product is an exact integer, reduced in int64.  Longer inner
     dimensions are accumulated in chunks.
     """
     a = _as_mat(a)
@@ -114,12 +147,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     safe = _exact_terms(p)
     if k <= safe:
         c = a.astype(np.float64) @ b.astype(np.float64)
-        return np.mod(c, p).astype(np.int64)
+        return c.astype(np.int64) % p
     acc = zeros(a.shape[0], b.shape[1])
     for lo in range(0, k, safe):
         hi = min(lo + safe, k)
         c = a[:, lo:hi].astype(np.float64) @ b[lo:hi].astype(np.float64)
-        acc = (acc + np.mod(c, p).astype(np.int64)) % p
+        acc = (acc + c.astype(np.int64)) % p
     return acc
 
 
@@ -147,75 +180,123 @@ def _rref_small(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     return len(pivots), r, pivots
 
 
-def _rref_blocked(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
-    # Gauss-Jordan with delayed rank-one updates, float64 throughout.  The
-    # current matrix is A - U[:, :k] @ V[:k] mod p: column peeks and pivot-row
-    # reads apply the k pending updates lazily, and a full panel is flushed
-    # into A as one BLAS product.  The panel width keeps every product and
-    # every A - U @ V exact in a double, so the result matches the
-    # sequential elimination entry for entry.
-    m, n = a.shape
-    w = min(_PANEL, _exact_terms(p))
-    A = (a % p).astype(np.float64)
-    U = np.empty((m, w))  # multiplier columns
-    V = np.empty((w, n))  # normalized pivot rows, zero left of their pivot
-    k = 0
-    c0 = 0  # pivot column of V[0], the panel's first
+def _addmul(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int, sign: int) -> None:
+    """c <- c + sign * a @ b mod p in place, for float64 residues.  Runs of
+    _exact_terms(p) inner terms keep every value inside _reduce's range."""
+    w = _exact_terms(p)
+    for lo in range(0, a.shape[1], w):
+        prod = a[:, lo : lo + w] @ b[lo : lo + w]
+        if sign > 0:
+            c += prod
+        else:
+            c -= prod
+        _reduce(c, p, prod)
+
+
+def _gj_leaf(A: np.ndarray, r0: int, lo: int, hi: int, p: int) -> list[int]:
+    # _gj's leaf: Gauss-Jordan on columns lo:hi one pivot at a time.  Rows
+    # that are zero there stay zero, so the pivots are found on the nonzero
+    # rows alone, in int64 (a product of residues fits); then the k-th pivot
+    # row moves, whole, to row r0 + k.  Setting the pivot entry to 1 before
+    # scaling and the other rows' entries to 0 before the update leaves T's
+    # column in the pivot column (in-place inversion).
+    B = A[r0:, lo:hi]
+    live = np.flatnonzero(B.any(axis=1))
+    C = B[live].astype(np.int64)
+    used = [False] * live.size
     pivots: list[int] = []
-    pivot_rows: list[int] = []
-    used = np.zeros(m, dtype=bool)
-
-    def flush() -> None:
-        # V[:k] is zero left of c0, so the columns before it are final.
-        tail = A[:, c0:]
-        tail -= U[:, :k] @ V[:k, c0:]
-        np.mod(tail, p, out=tail)
-
-    for col in range(n):
-        if len(pivots) == m:
+    prow: list[int] = []
+    for j in range(hi - lo):
+        if len(prow) == live.size:
             break
-        cur = np.mod(A[:, col] - U[:, :k] @ V[:k, col], p)
-        cand = np.flatnonzero((cur != 0) & ~used)
-        if cand.size == 0:
+        rows = C[:, j].nonzero()[0].tolist()
+        r = next((x for x in rows if not used[x]), None)
+        if r is None:
             continue
-        r = int(cand[0])
-        rowvec = np.mod(A[r, col:] - U[r, :k] @ V[:k, col:], p)
-        rowvec = np.mod(rowvec * inv_mod(int(rowvec[0]), p), p)
-        if k == 0:
-            c0 = col
-        # Row r is zero left of col in exact arithmetic, but A's copy there
-        # is stale (its pending updates were never applied): write the zeros,
-        # or they survive into the output.  A[r] is now current, so its
-        # pending multipliers are cleared or the flush would apply them twice.
-        A[r, :col] = 0
-        A[r, col:] = rowvec
-        U[r, :k] = 0
-        U[:, k] = cur
-        U[r, k] = 0
-        V[k, :col] = 0
-        V[k, col:] = rowvec
-        k += 1
+        inv = inv_mod(int(C[r, j]), p)
+        C[r, j] = 1
+        C[r] = C[r] * inv % p
+        rows.remove(r)
+        if rows:
+            f = C[rows, j]
+            C[rows, j] = 0
+            C[rows] = (C[rows] - f[:, None] * C[r]) % p
         used[r] = True
-        pivots.append(col)
-        pivot_rows.append(r)
-        if k == w:
-            flush()
-            k = 0
-    if k:
-        flush()
+        prow.append(r)
+        pivots.append(lo + j)
+    if not pivots:
+        return pivots
+    B[live] = C
+    # the rows the pivot rows displace take the places they leave
+    src = live[prow]
+    r = src.size
+    held = np.zeros(r, dtype=bool)
+    held[src[src < r]] = True
+    moved = np.concatenate([src, np.flatnonzero(~held)])
+    A[r0 + np.concatenate([np.arange(r), src[src >= r]])] = A[r0 + moved]
+    return pivots
+
+
+def _gj(A: np.ndarray, r0: int, lo: int, hi: int, p: int, keep: bool) -> list[int]:
+    # Gauss-Jordan on A[r0:, lo:hi] in place, rows r0.. being those not yet
+    # pivots.  Returns the pivot columns; their rows end up at r0, r0 + 1, ...
+    # Each pivot column holds, instead of its unit vector, the column of the
+    # row transform T for its pivot row; T's other columns are unit vectors,
+    # so T acts on further columns through one product.  T is T3 T2 T1: T1
+    # reduces the left half, T2 the right half on the rows left over, and T3
+    # clears the left pivot rows at the right half's pivot columns.
+    # keep=False skips what only T itself needs.
+    if r0 == A.shape[0]:
+        return []
+    if hi - lo <= _PANEL:
+        return _gj_leaf(A, r0, lo, hi, p)
+    h = (lo + hi) // 2
+    c1 = _gj(A, r0, lo, h, p, True)
+    s = r0 + len(c1)
+    if c1:
+        # right half <- T1 @ right half
+        y = A[r0:s, h:hi].copy()
+        A[r0:s, h:hi] = 0
+        _addmul(A[r0:, h:hi], A[r0:, c1], y, p, 1)
+    c2 = _gj(A, s, h, hi, p, keep)
+    if c1 and c2:
+        t = s + len(c2)
+        # right half <- T3 @ right half
+        mult = A[r0:s, c2]
+        A[r0:s, c2] = 0
+        _addmul(A[r0:s, h:hi], mult, A[s:t, h:hi], p, -1)
+        if keep:
+            # T1's columns in c1 <- T3 T2 T1's
+            z = A[s:t, c1]
+            A[s:t, c1] = 0
+            below = A[s:, c1]
+            _addmul(below, A[s:, c2], z, p, 1)
+            A[s:, c1] = below
+            above = A[r0:s, c1]
+            _addmul(above, mult, A[s:t, c1], p, -1)
+            A[r0:s, c1] = above
+    return c1 + c2
+
+
+def _rref_blocked(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
+    m, n = a.shape
+    A = (a % p).astype(np.float64)
+    pivots = _gj(A, 0, 0, n, p, False)
     rank = len(pivots)
     out = zeros(m, n)
-    # rows never chosen as pivots are exactly zero after full reduction
-    out[:rank] = A[pivot_rows]
+    out[:rank] = A[:rank]
+    # the pivot columns hold transform entries: write the RREF's unit vectors
+    out[:, pivots] = 0
+    out[np.arange(rank), pivots] = 1
     return rank, out, pivots
 
 
 def rref(mat, p: int) -> tuple[int, np.ndarray, list[int]]:
     """Reduced row echelon form over F_p.
 
-    Returns (rank, reduced, pivot_columns).  Pivoting is deterministic:
-    the first not-yet-used row with a nonzero entry in the current column
-    wins, and pivot rows are emitted in pivot-column order.
+    Returns (rank, reduced, pivot_columns).  The reduced form is unique, so
+    it does not depend on which rows serve as pivots; pivot rows are emitted
+    in pivot-column order, followed by zero rows.
     """
     a = _as_mat(mat)
     if a.shape[0] == 0 or a.shape[1] == 0:

@@ -4,6 +4,11 @@ import pytest
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
+# _exact_terms(MID_PRIME) = 53: of the primes with 1 < _exact_terms(p) < 64,
+# its 53*(MID_PRIME-1)^2 comes closest to 2^53 (about 18p short).  The
+# accepted primes where 2^53 // (p-1)^2 terms would overshoot 2^53 - 2p, so
+# that _exact_terms is one less, are 5, 17, 257, 379 and 65537.
+MID_PRIME = 13036379
 
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.ndarray:
@@ -93,12 +98,42 @@ def test_rref_blocked_path_matches_small_path():
         assert np.array_equal(fast[1], slow[1])
 
 
-@pytest.mark.parametrize("p, width", [(5, la._PANEL), (32003, la._PANEL), (94906249, 1)])
+@pytest.mark.parametrize(
+    "p, width", [(5, la._PANEL), (32003, la._PANEL), (MID_PRIME, 53), (94906249, 1)]
+)
 def test_rref_blocked_exact_for_every_prime_regime(p, width):
-    # Each prime sets the panel width through w*(p-1)^2 <= 2^53: full-width
-    # panels at 5 and 32003, one-column panels at the largest accepted prime.
+    # Each prime sets through w*(p-1)^2 <= 2^53 - 2p how many products of
+    # residues one float sum may hold: more than a leaf's width at 5 and
+    # 32003, 53 at MID_PRIME, so that long products run in chunks, and one at
+    # the largest accepted prime.
     assert min(la._PANEL, la._exact_terms(p)) == width
     rng = np.random.default_rng(p)
+    # pivots and multipliers all p - 1: every product sums (p-1)^2 terms
+    a = np.full((150, 140), p - 1, dtype=np.int64)
+    a[:100, :100] = (p - 1) * np.eye(100, dtype=np.int64)
+    fast = la._rref_blocked(a, p)
+    assert fast[0] == 101
+    assert np.array_equal(fast[1], la._rref_small(a, p)[1])
+    # widths around the recursion's split into leaves, the rank loss in one
+    # half of the columns only; with 40 rows the right halves run out of rows
+    split_shapes = [(300, la._PANEL - 1), (300, la._PANEL + 1), (300, 2 * la._PANEL), (40, 450)]
+    for rows, cols in split_shapes:
+        assert rows * cols > la._BLOCK_THRESHOLD
+        h = cols // 2
+        for lossy in ("left", "right"):
+            a = rng.integers(0, p, size=(rows, cols))
+            if lossy == "left":
+                # left columns 5.. are combinations of columns 0..4
+                a[:, 5:h] = la.matmul_mod(a[:, :5], rng.integers(0, p, size=(5, h - 5)), p)
+            else:
+                # right columns are combinations of the left ones
+                a[:, h:] = la.matmul_mod(a[:, :h], rng.integers(0, p, size=(h, cols - h)), p)
+            fast = la._rref_blocked(a, p)
+            slow = la._rref_small(a, p)
+            rank = min(rows, cols - h + 5) if lossy == "left" else min(rows, h)
+            assert fast[0] == slow[0] == rank
+            assert fast[2] == slow[2]
+            assert np.array_equal(fast[1], slow[1])
     for rows, cols in [(200, 83), (83, 200), (129, 129)]:
         assert rows * cols > la._BLOCK_THRESHOLD
         rank = min(rows, cols) - 9
@@ -144,10 +179,37 @@ def test_matmul_mod_exactness_and_chunking():
     b3 = random_matrix(rng, 7, 4, big_p)
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % big_p for col in b3.T] for row in a3]
     assert la.matmul_mod(a3, b3, big_p).tolist() == want
+    # operands of magnitude p - 1, some negative, at the chunk boundary
+    for p in (94906249, MID_PRIME):
+        k = la._exact_terms(p)
+        for inner in (k, k + 1):
+            a4 = np.full((3, inner), p - 1, dtype=np.int64)
+            b4 = np.full((inner, 2), p - 1, dtype=np.int64)
+            a4[1] = -a4[1]
+            b4[::2, 1] *= -1
+            want = (a4.astype(object).dot(b4.astype(object)) % p).tolist()
+            assert la.matmul_mod(a4, b4, p).tolist() == want
     with pytest.raises(ValueError, match="prime"):
         la.check_prime(94906297)  # the first prime above MAX_PRIME
     with pytest.raises(ValueError, match="MAX_PRIME"):
         la.matmul_mod(a3, b3, 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", [5, 32003, 65537, MID_PRIME, 94906249])
+def test_float_reduction_exact_at_extremes(p):
+    lo, hi = 2 * p - 2**53, 2**53 - p  # _reduce's proven range
+    w = la._exact_terms(p)
+    big = w * (p - 1) ** 2
+    # a residue minus, or plus, w products of residues stays in range
+    assert w >= 1 and lo <= -big and big + p - 1 <= hi
+    k_hi, k_lo = (hi - 1) // p, -((-lo - 1) // p)
+    vals = [-big, -big + p - 1, big + p - 1, 0, p - 1, lo, hi]
+    vals += [k * p + d for k in (k_lo, k_hi) for d in (-1, 0, 1)]
+    assert min(vals) == lo and max(vals) == hi
+    x = np.array(vals, dtype=np.float64)
+    assert [int(v) for v in x] == vals
+    la._reduce(x, p, np.empty_like(x))
+    assert [int(v) for v in x] == [v % p for v in vals]
 
 
 def test_kernel_identity_is_zero():
