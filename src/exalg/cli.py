@@ -219,7 +219,7 @@ def cmd_filter(args, p) -> int:
 
 def cmd_verify(args, p) -> int:
     checks = verify.run_suite(args.suite, n=args.n, seed=args.seed, p=p)
-    data = verify.report_dict(args.suite, checks, args.n, args.seed, p, with_time=False)
+    data = verify.report_dict(args.suite, checks, args.n, args.seed, p)
     if args.json:
         _write_text(modfile.canonical_json(data))
     else:

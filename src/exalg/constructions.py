@@ -67,7 +67,10 @@ def _coordinate_span_quotient(n_plus_1: int, p: int, k: int) -> GradedModule:
 
 def span_quotient(n_plus_1: int, forms, p: int) -> GradedModule:
     """R modulo the two-sided ideal of a span of independent linear forms."""
-    mat = np.asarray(forms, dtype=np.int64).reshape(-1, n_plus_1) % p
+    mat = np.asarray(forms, dtype=np.int64) % p
+    if mat.size and (mat.ndim != 2 or mat.shape[1] != n_plus_1):
+        raise ValueError(f"forms must be rows of {n_plus_1} coefficients, got shape {mat.shape}")
+    mat = mat.reshape(-1, n_plus_1)
     k = mat.shape[0]
     if k == 0:
         return gmod.free_module(n_plus_1, p, [0])
@@ -366,7 +369,10 @@ def kronecker_family(i: int, j: int, p: int) -> GradedModule:
     return gmod.shift(base, j)
 
 
-def _find_point_class(layer: GradedModule, seed: int, trials: int = 64) -> np.ndarray | None:
+POINT_CLASS_TRIALS = 64
+
+
+def _find_point_class(layer: GradedModule, seed: int) -> np.ndarray | None:
     """A nonzero form candidate annihilating the bottom factor of a layer."""
     p = layer.p
     za = zero_action_forms(layer)
@@ -378,7 +384,7 @@ def _find_point_class(layer: GradedModule, seed: int, trials: int = 64) -> np.nd
     t = layer.dim(d0)
     rng = np.random.default_rng(seed)
     candidates = [np.eye(t, dtype=np.int64)[k] for k in range(t)]
-    for _ in range(trials):
+    for _ in range(POINT_CLASS_TRIALS):
         candidates.append(rng.integers(0, p, t, dtype=np.int64))
     stacked = [layer.action(i, d0) for i in range(layer.n_plus_1)]
     for w in candidates:

@@ -107,6 +107,9 @@ class GradedModule:
 
     def form_action(self, form, d: int) -> np.ndarray:
         """Right multiplication by the linear form sum_i form[i] x_i."""
+        shape = np.shape(form)
+        if shape != (self.n_plus_1,):
+            raise ValueError(f"a linear form needs {self.n_plus_1} coefficients, got shape {shape}")
         out = zeros(self.dim(d), self.dim(d + 1))
         for i, c in enumerate(form):
             c = int(c) % self.p
@@ -598,8 +601,9 @@ def _contract_params(tensors: dict[int, np.ndarray], basis: np.ndarray, p: int) 
     return out
 
 
-def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
-    """Basis of the degree-zero Hom space, canonical up to the RREF layout.
+def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
+    """The degree-zero Hom space as the RREF basis of its flattened maps
+    (flatten_map's layout, ambient hom_space_dim_layout(a, b)).
 
     Sweeps degrees upward carrying a parametrized partial solution; each
     step solves one per-degree linear system, so the work stays at block
@@ -607,8 +611,9 @@ def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
     """
     _check_compatible(a, b)
     p = a.p
+    ambient = hom_space_dim_layout(a, b)
     if a.is_zero() or b.is_zero():
-        return []
+        return zero_subspace(ambient, p)
     lo = min(min(a.dims), min(b.dims))
     hi = max(max(a.dims), max(b.dims))
     nparams = 0
@@ -693,17 +698,24 @@ def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
         tensors[d] = part
         add_free(d, pivots_a, ea)
     if nparams == 0:
-        return []
+        return zero_subspace(ambient, p)
     # canonicalize: RREF of the flattened solution space
     layout = _blocks_layout(a, b)
     flat = np.concatenate(
         [tensors[d].reshape(nparams, -1) for d in layout], axis=1
     ) if layout else zeros(nparams, 0)
-    rank, red, _ = rref(flat, p)
-    return [map_from_flat(a, b, red[k]) for k in range(rank)]
+    return subspace_from_rows(flat, ambient, p)
+
+
+def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
+    """hom_space(a, b)'s basis as maps."""
+    return [map_from_flat(a, b, v) for v in hom_space(a, b).basis]
 
 
 # -- isomorphism testing ----------------------------------------------------
+
+
+ISO_TRIALS = 24
 
 
 @dataclass
@@ -716,13 +728,13 @@ class IsoVerdict:
         return self.kind == "ISO"
 
 
-def iso_probable(a: GradedModule, b: GradedModule, seed: int = 0, trials: int = 24) -> IsoVerdict:
+def iso_probable(a: GradedModule, b: GradedModule, seed: int = 0) -> IsoVerdict:
     """Randomized isomorphism test with a verified certificate.
 
     NOT_ISO is returned only with a structural witness (graded dimensions
     differ, or the Hom space is zero); ISO only with an explicit invertible
-    commuting map.  Anything else is UNDECIDED after the given number of
-    random samples from the Hom space.
+    commuting map.  Anything else is UNDECIDED after ISO_TRIALS random
+    samples from the Hom space.
     """
     _check_compatible(a, b)
     if a.dims != b.dims:
@@ -730,16 +742,14 @@ def iso_probable(a: GradedModule, b: GradedModule, seed: int = 0, trials: int = 
         return IsoVerdict("NOT_ISO", witness=f"graded dimensions differ at degree {bad[0]}")
     if a.is_zero():
         return IsoVerdict("ISO", certificate=zero_map(a, b))
-    basis = hom_space_maps(a, b)
-    if not basis:
+    space = hom_space(a, b)
+    if not space.dim:
         return IsoVerdict("NOT_ISO", witness="Hom space is zero")
     p = a.p
     rng = np.random.default_rng(seed)
-    flats = np.stack([flatten_map(f) for f in basis])
-    for _ in range(max(1, trials)):
-        coeffs = rng.integers(0, p, len(basis), dtype=np.int64)
-        vec = matmul_mod(coeffs.reshape(1, -1), flats, p).ravel()
-        f = map_from_flat(a, b, vec)
+    for _ in range(ISO_TRIALS):
+        coeffs = rng.integers(0, p, space.dim, dtype=np.int64)
+        f = map_from_flat(a, b, matmul_mod(coeffs.reshape(1, -1), space.basis, p).ravel())
         if f.degreewise_bijective():
             if not f.commutes():  # pragma: no cover - linear combos always commute
                 continue

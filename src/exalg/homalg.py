@@ -8,6 +8,10 @@ extending over the minimal injective envelope of the source, which is how
 the projectively-trivial subspace is computed here; the route through a
 projective cover of the target is also provided and the two are checked
 against each other in the test suite.
+
+A Hom space is the Subspace gmod.hom_space returns, the RREF basis of its
+flattened maps: dimensions and coordinates are read from its rows, and maps
+are built only where a composite or a caller needs them.
 """
 
 from __future__ import annotations
@@ -41,12 +45,16 @@ class HomSpace:
 
     source: GradedModule
     target: GradedModule
-    basis: list[ModuleMap]
+    space: Subspace  # gmod.hom_space(source, target)
     ptriv: Subspace
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.space.dim
+
+    @property
+    def basis(self) -> list[ModuleMap]:
+        return [gmod.map_from_flat(self.source, self.target, v) for v in self.space.basis]
 
     @property
     def stable_dim(self) -> int:
@@ -60,87 +68,66 @@ class HomSpace:
         each has zero coordinates on the ptriv pivots, which makes the
         choice reproducible.
         """
-        piv = set(self.ptriv.pivots) if self.ptriv.dim else set()
-        return [f for k, f in enumerate(self.basis) if k not in piv]
+        reps = np.delete(self.space.basis, self.ptriv.pivots, axis=0)
+        return [gmod.map_from_flat(self.source, self.target, v) for v in reps]
 
     def coords_of(self, f: ModuleMap) -> np.ndarray:
-        flats = _flat_subspace(self.basis, self.source, self.target)
-        coords = coords_in_rref_basis(gmod.flatten_map(f), flats)
-        if coords is None:
-            raise ValueError("map is not in the Hom space")
-        return coords
+        return _coords(self.space, [f])[0]
 
 
-def _flat_subspace(basis: list[ModuleMap], a: GradedModule, b: GradedModule) -> Subspace:
-    """The span of a Hom(a, b) basis in the flattened map layout."""
-    amb = gmod.hom_space_dim_layout(a, b)
-    if not basis:
-        return zero_subspace(amb, a.p)
-    return Subspace(amb, np.stack([gmod.flatten_map(f) for f in basis]), a.p)
-
-
-def _coords_matrix(space_basis: list[ModuleMap], maps: list[ModuleMap], a, b) -> np.ndarray:
-    if not space_basis:
-        return zeros(len(maps), 0)
-    flats = _flat_subspace(space_basis, a, b)
-    rows = []
-    for f in maps:
-        coords = coords_in_rref_basis(gmod.flatten_map(f), flats)
-        if coords is None:
-            raise ValueError("composite map left the Hom space")
-        rows.append(coords)
-    return np.array(rows, dtype=np.int64).reshape(len(maps), len(space_basis))
+def _coords(space: Subspace, maps: list[ModuleMap]) -> np.ndarray:
+    """Coordinates of maps in the RREF basis of their flattened Hom space."""
+    flats = np.array([gmod.flatten_map(f) for f in maps], dtype=np.int64)
+    coords = coords_in_rref_basis(flats.reshape(len(maps), space.ambient), space)
+    if coords is None:
+        raise ValueError("map is not in the Hom space")
+    return coords
 
 
 def factor_through_projectives(
-    m: GradedModule, n: GradedModule, basis: list[ModuleMap] | None = None
+    m: GradedModule, n: GradedModule, space: Subspace | None = None
 ) -> Subspace:
     """Maps m -> n factoring through a projective, in Hom-basis coordinates.
 
-    Computed as { g∘ι : g ∈ Hom(I(m), n) } for ι the minimal injective
-    envelope of the source; every projective factorization extends over ι
-    by injectivity, so this is the whole subspace.
+    space is gmod.hom_space(m, n), computed when not given.  The subspace
+    is { g∘ι : g ∈ Hom(I(m), n) } for ι the minimal injective envelope of
+    the source; every projective factorization extends over ι by
+    injectivity, so this is the whole subspace.
     """
-    if basis is None:
-        basis = gmod.hom_space_maps(m, n)
-    if not basis:
+    if space is None:
+        space = gmod.hom_space(m, n)
+    if not space.dim:
         return zero_subspace(0, m.p)
     env, mono = homology.injective_envelope(m)
-    through = gmod.hom_space_maps(env, n)
-    composites = [gmod.map_compose(mono, g) for g in through]
-    coords = _coords_matrix(basis, composites, m, n)
-    return subspace_from_rows(coords, len(basis), m.p)
+    composites = [gmod.map_compose(mono, g) for g in gmod.hom_space_maps(env, n)]
+    return subspace_from_rows(_coords(space, composites), space.dim, m.p)
 
 
 def factor_through_projectives_via_cover(
-    m: GradedModule, n: GradedModule, basis: list[ModuleMap] | None = None
+    m: GradedModule, n: GradedModule, space: Subspace | None = None
 ) -> Subspace:
     """Same subspace computed through the projective cover of the target."""
-    if basis is None:
-        basis = gmod.hom_space_maps(m, n)
-    if not basis:
+    if space is None:
+        space = gmod.hom_space(m, n)
+    if not space.dim:
         return zero_subspace(0, m.p)
     cover, epi = homology.projective_cover(n)
-    through = gmod.hom_space_maps(m, cover)
-    composites = [gmod.map_compose(h, epi) for h in through]
-    coords = _coords_matrix(basis, composites, m, n)
-    return subspace_from_rows(coords, len(basis), m.p)
+    composites = [gmod.map_compose(h, epi) for h in gmod.hom_space_maps(m, cover)]
+    return subspace_from_rows(_coords(space, composites), space.dim, m.p)
 
 
 def hom_basis(m: GradedModule, n: GradedModule) -> HomSpace:
     """The degree-zero Hom space with its projectively-trivial subspace."""
-    basis = gmod.hom_space_maps(m, n)
-    ptriv = factor_through_projectives(m, n, basis)
-    return HomSpace(m, n, basis, ptriv)
+    space = gmod.hom_space(m, n)
+    return HomSpace(m, n, space, factor_through_projectives(m, n, space))
 
 
 def hom_dim(m: GradedModule, n: GradedModule) -> int:
-    return len(gmod.hom_space_maps(m, n))
+    return gmod.hom_space(m, n).dim
 
 
 def stable_hom_dim(m: GradedModule, n: GradedModule) -> int:
-    hs = hom_basis(m, n)
-    return hs.stable_dim
+    return hom_basis(m, n).stable_dim
 
 
 def ext_dim(m: GradedModule, n: GradedModule, k: int = 1) -> int:
@@ -251,23 +238,15 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     Product convention follows composition in diagram order: the (i, j)
     entry is "apply basis map i, then basis map j".
     """
-    basis = gmod.hom_space_maps(m, m)
-    dim = len(basis)
+    space = gmod.hom_space(m, m)
+    dim = space.dim
     p = m.p
     if dim == 0:
         return FiniteAlgebra(0, p, np.zeros((0, 0, 0), dtype=np.int64), zeros(1, 0)[0], [zero_subspace(0, p)])
-    flats = _flat_subspace(basis, m, m)
-    mult = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i in range(dim):
-        for j in range(dim):
-            comp = gmod.map_compose(basis[i], basis[j])
-            coords = coords_in_rref_basis(gmod.flatten_map(comp), flats)
-            if coords is None:
-                raise ValueError("composition left the endomorphism space")
-            mult[i, j] = coords
-    one = coords_in_rref_basis(gmod.flatten_map(gmod.identity_map(m)), flats)
-    if one is None:
-        raise ValueError("identity endomorphism missing from the Hom basis")
+    basis = [gmod.map_from_flat(m, m, v) for v in space.basis]
+    # one row of products at a time keeps dim, not dim², composites alive
+    mult = np.stack([_coords(space, [gmod.map_compose(f, g) for g in basis]) for f in basis])
+    one = _coords(space, [gmod.identity_map(m)])[0]
     rad = algebra_radical_subspace(dim, p, mult)
     filtration = _radical_filtration(dim, p, mult, rad)
     return FiniteAlgebra(dim, p, mult, one, filtration)
@@ -334,11 +313,8 @@ def ext1_square_zero(mbar: GradedModule, nbar: GradedModule) -> int:
     syz, incl = homology.kernel_submodule(epi)
     if syz.is_zero():
         return 0
-    h1 = gmod.hom_space_maps(syz, nbar)
-    if not h1:
+    h1 = gmod.hom_space(syz, nbar)
+    if not h1.dim:
         return 0
-    h0 = gmod.hom_space_maps(cover, nbar)
-    restricted = [gmod.map_compose(incl, f) for f in h0]
-    coords = _coords_matrix(h1, restricted, syz, nbar)
-    rank = rref(coords, mbar.p)[0] if coords.size else 0
-    return len(h1) - rank
+    restricted = [gmod.map_compose(incl, f) for f in gmod.hom_space_maps(cover, nbar)]
+    return h1.dim - rref(_coords(h1, restricted), mbar.p)[0]

@@ -362,9 +362,7 @@ def betti_complexity(table: BettiTable, n_plus_1: int) -> int | None:
     return None
 
 
-def regular_sequence(
-    m: GradedModule, seed: int = 0, trials: int = REGULAR_SEARCH_TRIALS
-) -> list[np.ndarray]:
+def regular_sequence(m: GradedModule, seed: int = 0) -> list[np.ndarray]:
     """A maximal regular sequence of linear forms, found greedily (seeded).
 
     At each step the search samples linear forms and keeps the first one
@@ -385,7 +383,7 @@ def regular_sequence(
             seq.append(v)
             continue
         found = None
-        for _ in range(trials):
+        for _ in range(REGULAR_SEARCH_TRIALS):
             v = rng.integers(0, m.p, n1, dtype=np.int64)
             if not v.any():
                 continue
@@ -399,14 +397,9 @@ def regular_sequence(
     return seq
 
 
-def complexity(
-    m: GradedModule,
-    depth: int = DEFAULT_DEPTH,
-    seed: int = 0,
-    trials: int = REGULAR_SEARCH_TRIALS,
-) -> ComplexityEstimate:
+def complexity(m: GradedModule, depth: int = DEFAULT_DEPTH, seed: int = 0) -> ComplexityEstimate:
     """Complexity by both routes: regular_sequence and betti_complexity."""
-    seq = regular_sequence(m, seed, trials)
+    seq = regular_sequence(m, seed)
     table = minimal_resolution(m, depth)
     return ComplexityEstimate(
         cx_regseq=m.n_plus_1 - len(seq),

@@ -366,12 +366,16 @@ def reduce_mod_subspace(vec: np.ndarray, s: Subspace) -> np.ndarray:
     return (v - matmul_mod(coeffs.reshape(1, -1), s.basis, s.p).ravel()) % s.p
 
 
-def coords_in_rref_basis(vec: np.ndarray, s: Subspace) -> np.ndarray | None:
-    """Coordinates of vec in the RREF basis of s, or None if not a member."""
-    v = np.asarray(vec, dtype=np.int64) % s.p
-    if reduce_mod_subspace(v, s).any():
+def coords_in_rref_basis(rows, s: Subspace) -> np.ndarray | None:
+    """Coordinates of each row in the RREF basis of s (a member's entries at
+    the pivots), or None if some row is not a member."""
+    v = _as_mat(rows) % s.p
+    if v.shape[1] != s.ambient:
+        raise DimensionMismatch("row length/ambient mismatch")
+    coords = v[:, s.pivots]
+    if not np.array_equal(matmul_mod(coords, s.basis, s.p), v):
         return None
-    return v[s.pivots]
+    return coords
 
 
 def kernel_basis(mat, p: int) -> Subspace:

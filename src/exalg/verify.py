@@ -47,7 +47,7 @@ class CheckResult:
     seed: int
     wall_ms: float = 0.0
 
-    def to_json_dict(self, with_time: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "check_id": self.check_id,
             "claim": self.claim,
@@ -56,7 +56,8 @@ class CheckResult:
             "actual": self.actual,
             "verdict": self.verdict,
             "seed": self.seed,
-            "wall_time": round(self.wall_ms, 3) if with_time else None,
+            # times vary run to run; the canonical report leaves them out
+            "wall_time": None,
         }
 
 
@@ -603,7 +604,7 @@ def run_suite(name: str, n: int = 2, seed: int = 0, p: int | None = None) -> lis
     return sorted(SUITES[name](n, seed, p).checks, key=lambda c: c.check_id)
 
 
-def report_dict(name: str, checks: list[CheckResult], n: int, seed: int, p: int, with_time: bool = False) -> dict:
+def report_dict(name: str, checks: list[CheckResult], n: int, seed: int, p: int) -> dict:
     overall = "PASS"
     if any(c.verdict == "UNDECIDED" for c in checks):
         overall = "UNDECIDED"
@@ -615,7 +616,7 @@ def report_dict(name: str, checks: list[CheckResult], n: int, seed: int, p: int,
         "n": n,
         "seed": seed,
         "verdict": overall,
-        "checks": [c.to_json_dict(with_time=with_time) for c in checks],
+        "checks": [c.to_json_dict() for c in checks],
     }
 
 

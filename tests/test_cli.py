@@ -360,6 +360,38 @@ def test_cli_construct_pinned(construct, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[construct]
 
 
+# sha256 of `exalg hom --json A B` and `exalg end --json A`, recorded before
+# the Hom space became one RREF Subspace (gmod.hom_space)
+HOM_MODULES = {
+    "p3": (["pd", "--n", "2", "--d", "3"], 0),
+    "mxi": (["mxi", "--n", "2"], 0),
+    "mxi1": (["mxi", "--n", "2"], 1),
+    "xxi": (["xxi", "--n", "2"], 0),
+}
+HOM_SHA256 = {
+    ("hom", "p3", "p3"): "258be4e85a63e3a49f79c5461d35154c2dd1dc05905804677a450e266f8d7b65",
+    ("hom", "p3", "mxi1"): "0145ec6ed4b1769c98eff2307ff2fbd728a3e073f0c84666a6c820ee055dd61c",
+    ("hom", "mxi", "xxi"): "03ef8b62a8eadf3bf3c8d0fa58ef15383d289120806fd1d143fc6776662077ec",
+    ("end", "p3"): "dc1cc01ca0777f7ac4446a83d28800f706bdf51f6c759ef19039fff5c9e7e8a5",
+    ("end", "mxi"): "c08ef71be81798537df935c042ab7671677af6744d1ad094852ccb1962385de6",
+    ("end", "mxi1"): "c08ef71be81798537df935c042ab7671677af6744d1ad094852ccb1962385de6",
+    ("end", "xxi"): "108ea60c2a247496debb3dba8889204ad4b6683491645942dfa8d4c2c625eca0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HOM_SHA256))
+def test_cli_hom_and_end_json_pinned(argv, tmp_path, capsys):
+    command, *names = argv
+    paths = []
+    for name in names:
+        construct, i = HOM_MODULES[name]
+        m = gmod.shift(modfile.parse(run_cli(["construct", *construct], capsys=capsys)[1]), i)
+        paths.append(write_module(tmp_path, f"{name}.json", m))
+    code, out, _ = run_cli([command, "--json", *paths], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HOM_SHA256[argv]
+
+
 @pytest.mark.parametrize("suite", ["pd", "eisenbud", "relative"])
 def test_cli_verify_rejects_n_zero(suite, capsys):
     code, out, err = run_cli(["verify", "--suite", suite, "--n", "0"], capsys=capsys)

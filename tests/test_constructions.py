@@ -92,6 +92,19 @@ def test_span_quotient_generic_forms_killed():
         assert not any(m.form_action(f, d).any() for d in m.degrees)
 
 
+def test_forms_of_the_wrong_length_are_rejected():
+    # six coefficients over three variables once read as two forms
+    with pytest.raises(ValueError, match="3 coefficients"):
+        cons.point_module(3, [1, 0, 0, 0, 1, 0], P)
+    for forms in ([[1, 0, 0, 0]], [[1, 0]], [1, 0, 0], [[[1, 0, 0]]]):
+        with pytest.raises(ValueError, match="3 coefficients"):
+            cons.span_quotient(3, forms, P)
+    m = gmod.free_module(3, P, [0])
+    for form in ([1, 0], [1, 0, 0, 0], [[1, 0, 0]]):
+        with pytest.raises(ValueError, match="3 coefficients"):
+            m.form_action(form, 0)
+
+
 def test_span_quotient_rejects_dependent_forms():
     with pytest.raises(cons.DependentForms):
         cons.span_quotient(3, np.array([[1, 0, 0], [2, 0, 0]]), P)

@@ -81,10 +81,45 @@ def test_two_ptriv_routes_agree():
         (point_module(3, [1, 1, 0]), gmod.shift(point_module(3, [1, 1, 0]), 2)),
     ]
     for a, b in fixtures:
-        basis = gmod.hom_space_maps(a, b)
-        s1 = homalg.factor_through_projectives(a, b, basis)
-        s2 = homalg.factor_through_projectives_via_cover(a, b, basis)
+        space = gmod.hom_space(a, b)
+        s1 = homalg.factor_through_projectives(a, b, space)
+        s2 = homalg.factor_through_projectives_via_cover(a, b, space)
         assert s1 == s2
+
+
+def test_hom_counts_build_no_maps(monkeypatch):
+    # Hom(P(3), point shifted by 1) has dim 9 and a 5-dimensional ptriv
+    from exalg import constructions as cons
+
+    m = cons.filtration_projective(2, 3, P)
+    n = gmod.shift(point_module(3), 1)
+    built = []
+    real = gmod.map_from_flat
+
+    def counting(a, b, vec):
+        built.append((a, b))
+        return real(a, b, vec)
+
+    monkeypatch.setattr(gmod, "map_from_flat", counting)
+    assert homalg.hom_dim(m, n) == 9
+    assert homalg.stable_hom_dim(m, n) == 4
+    assert not [ab for ab in built if ab[0] is m and ab[1] is n]
+
+
+def test_end_algebra_runs_the_hom_sweep_once(monkeypatch):
+    from exalg import constructions as cons
+
+    m = cons.filtration_projective(2, 3, P)
+    calls = []
+    real = gmod.hom_space
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(gmod, "hom_space", counting)
+    assert homalg.end_algebra(m).dim == 6
+    assert len(calls) == 1
 
 
 def test_ext_dims_of_point_module():

@@ -331,9 +331,10 @@ def test_coords_in_rref_basis_roundtrip():
     basis = la.subspace_from_rows(random_matrix(rng, 3, 7, P), 7, P)
     c = np.array([2, 5, 11], dtype=np.int64)[: basis.dim]
     v = la.matmul_mod(c.reshape(1, -1), basis.basis, P).ravel()
-    got = la.coords_in_rref_basis(v, basis)
+    got = la.coords_in_rref_basis(np.stack([v, 2 * v]), basis)
     assert got is not None
-    assert np.array_equal(got, c)
+    assert np.array_equal(got, np.stack([c, 2 * c]))
+    assert la.coords_in_rref_basis(la.zeros(0, 7), basis).shape == (0, basis.dim)
     outside = np.ones(7, dtype=np.int64)
     if la.reduce_mod_subspace(outside, basis).any():
-        assert la.coords_in_rref_basis(outside, basis) is None
+        assert la.coords_in_rref_basis(np.stack([v, outside]), basis) is None
