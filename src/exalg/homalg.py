@@ -181,14 +181,6 @@ class FiniteAlgebra:
         }
 
 
-def algebra_product(mult: np.ndarray, u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of u * v in an algebra with structure constants mult."""
-    acc = zeros(1, mult.shape[0])[0]
-    for i in np.nonzero(u)[0]:
-        acc = (acc + int(u[i]) * matmul_mod(v.reshape(1, -1), mult[i], p).ravel()) % p
-    return acc
-
-
 def algebra_radical_subspace(dim: int, p: int, mult: np.ndarray) -> Subspace:
     """Jacobson radical as the radical of the trace form of left multiplication.
 
@@ -197,34 +189,31 @@ def algebra_radical_subspace(dim: int, p: int, mult: np.ndarray) -> Subspace:
     """
     if dim >= p:
         raise DimTooLarge(f"algebra dimension {dim} is not below the modulus {p}")
-    # mult[i] is the matrix of left multiplication by the i-th basis element
-    gram = zeros(dim, dim)
-    for i in range(dim):
-        for j in range(i, dim):
-            t = int(np.trace(matmul_mod(mult[i], mult[j], p)) % p)
-            gram[i, j] = t
-            gram[j, i] = t
+    # mult[i] is the matrix of left multiplication by the i-th basis element,
+    # so gram[i, j] = trace(mult[i] @ mult[j]) is one product of flattenings
+    flat = mult.reshape(dim, dim * dim)
+    gram = matmul_mod(flat, mult.transpose(0, 2, 1).reshape(dim, dim * dim).T, p)
     rad = kernel_basis(gram, p)
-    # two-sided ideal check
-    for r in rad.basis:
-        for e in np.eye(dim, dtype=np.int64):
-            left = algebra_product(mult, e, r, p)
-            right = algebra_product(mult, r, e, p)
-            if not rad.contains(left) or not rad.contains(right):
-                raise ValueError("trace-form radical is not an ideal")
+    # two-sided ideal check: row (r, k) of the products is e_k * r, then r * e_k
+    if rad.dim:
+        left = matmul_mod(rad.basis, mult.transpose(1, 0, 2).reshape(dim, dim * dim), p)
+        right = matmul_mod(rad.basis, flat, p)
+        if coords_in_rref_basis(np.vstack([left, right]).reshape(-1, dim), rad) is None:
+            raise ValueError("trace-form radical is not an ideal")
     # nilpotency check happens while building the filtration
     return rad
 
 
 def _radical_filtration(dim: int, p: int, mult: np.ndarray, rad: Subspace) -> list[Subspace]:
     out = [subspace_from_rows(np.eye(dim, dtype=np.int64), dim, p), rad]
+    # left[j, u*dim + c]: entry (j, c) of left multiplication by rad's u-th row
+    left = matmul_mod(rad.basis, mult.reshape(dim, dim * dim), p)
+    left = left.reshape(rad.dim, dim, dim).transpose(1, 0, 2).reshape(dim, rad.dim * dim)
     cur = rad
     while cur.dim:
-        rows = []
-        for u in rad.basis:
-            for v in cur.basis:
-                rows.append(algebra_product(mult, u, v, p))
-        nxt = subspace_from_rows(np.array(rows).reshape(len(rows), dim), dim, p)
+        # every product u * v with u in rad and v in cur, one row each
+        rows = matmul_mod(cur.basis, left, p).reshape(-1, dim)
+        nxt = subspace_from_rows(rows, dim, p)
         if nxt.dim >= cur.dim:
             raise ValueError("radical filtration does not descend; not nilpotent")
         out.append(nxt)

@@ -6,11 +6,21 @@ complexity estimates, and the translate Omega^2(-)(n+1).
 Everything is exact.  Projective covers choose generators lifting the
 standard complement of the radical, so resolutions are minimal by
 construction and syzygies never acquire free summands.
+
+Betti tables have a second route that builds no syzygy: Tor^E_i(M, k)
+is the homology of the Cartan complex M ⊗ Gamma_i(V), whose basis is
+the divided-power monomials y^(a) with |a| = i and whose differential
+sends v ⊗ y^(a) to sum_l v·x_l ⊗ y^(a - e_l).  Every coefficient is 1,
+so E ⊗ Gamma(V) resolves k in every characteristic; with symmetric
+powers the coefficients a_l vanish mod p once an exponent reaches p.
+minimal_resolution picks the route by elimination sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -203,21 +213,108 @@ class BettiTable:
         return "\n".join(lines)
 
 
+def _syzygy_route(m: GradedModule, depth: int):
+    """Rows 0..depth by iterated minimal covers, one row per next().
+
+    F^i's generators are the top of Omega^i.  Each row comes with the
+    elimination size spent so far: rows x cols of every radical and kernel
+    matrix reduced to reach it.  Omega^i is built only when row i is asked
+    for, so nothing beyond Omega^depth is built.
+    """
+    n1 = m.n_plus_1
+    cur, spent, gens = m, 0, []
+    for _ in range(depth + 1):
+        if gens:
+            syz, _, cover, _ = syzygy_step(cur, gens)
+            spent += sum(cover.dim(d) * cur.dim(d) for d in cur.degrees)
+            cur = syz
+        gens = gmod.top_generators(cur)
+        spent += sum(n1 * cur.dim(d - 1) * cur.dim(d) for d in cur.degrees)
+        yield [d for d, _ in gens], spent
+
+
+def _divided_powers(n_plus_1: int, i: int) -> list[tuple[int, ...]]:
+    """Exponent vectors a with |a| = i: the basis y^(a) of Gamma_i."""
+    monomials = combinations_with_replacement(range(n_plus_1), i)
+    return [tuple(mon.count(x) for x in range(n_plus_1)) for mon in monomials]
+
+
+def _cartan_sizes(m: GradedModule, depth: int) -> list[int]:
+    """rows x cols of the Cartan differentials d_0 ... d_{depth+1}, summed
+    over internal degrees."""
+    n1 = m.n_plus_1
+    pairs = sum(m.dim(s) * m.dim(s + 1) for s in m.degrees)
+    return [0] + [comb(n1 - 1 + j, j) * comb(n1 - 2 + j, j - 1) * pairs for j in range(1, depth + 2)]
+
+
+def _cartan_differential(
+    m: GradedModule, s: int, gamma: list[tuple[int, ...]], lower: dict[tuple[int, ...], int]
+) -> np.ndarray:
+    """d on M_s ⊗ Gamma_i -> M_{s+1} ⊗ Gamma_{i-1}: v ⊗ y^(a) goes to
+    sum_l v·x_l ⊗ y^(a - e_l), so block (a, a - e_l) is x_l's action.
+
+    Rows are indexed (a, basis of M_s), columns (b, basis of M_{s+1});
+    lower maps the exponent vectors of Gamma_{i-1} to their positions.
+    """
+    r, c = m.dim(s), m.dim(s + 1)
+    out = zeros(len(gamma) * r, len(lower) * c)
+    blocks = out.reshape(len(gamma), r, len(lower), c)
+    for x in range(m.n_plus_1):
+        src = [k for k, a in enumerate(gamma) if a[x]]
+        dst = [lower[a[:x] + (a[x] - 1,) + a[x + 1 :]] for a in gamma if a[x]]
+        blocks[src, :, dst, :] = m.action(x, s)
+    return out
+
+
+def _cartan_rows(m: GradedModule, lo: int, depth: int) -> list[list[int]]:
+    """Rows lo..depth as the homology of the Cartan complex M ⊗ Gamma.
+
+    beta_{i,t} = dim C_i(t) - rank d_i(t) - rank d_{i+1}(t) with
+    C_i(t) = M_{t-i} ⊗ Gamma_i; each differential's rank is computed once.
+    """
+    p = m.p
+    gammas = {j: _divided_powers(m.n_plus_1, j) for j in range(max(lo - 1, 0), depth + 2)}
+    rank: dict[tuple[int, int], int] = {}  # (j, s): rank of d_j on M_s ⊗ Gamma_j
+    for j in range(max(lo, 1), depth + 2):
+        lower = {a: k for k, a in enumerate(gammas[j - 1])}
+        for s in m.degrees:
+            if m.dim(s + 1):
+                rank[j, s] = rref(_cartan_differential(m, s, gammas[j], lower), p)[0]
+    rows = []
+    for i in range(lo, depth + 1):
+        row: list[int] = []
+        for s in m.degrees:
+            beta = m.dim(s) * len(gammas[i]) - rank.get((i, s), 0) - rank.get((i + 1, s - 1), 0)
+            row += [s + i] * beta
+        rows.append(row)
+    return rows
+
+
 def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTable:
     """Generator degrees of the minimal free resolution up to F^depth.
 
-    F^i's generators are the top of Omega^i, so a depth-k resolution builds
-    Omega^1 ... Omega^k and nothing beyond.
+    Two routes give the same rows.  The syzygy route reads row i off the
+    top of Omega^i.  The Cartan route reads rows off Tor^E(M, k), the
+    homology of the complex M ⊗ Gamma(V) of divided powers, and builds no
+    syzygy.  A resolution starts on the syzygy route.  Before row i it
+    switches to the Cartan route for rows i..depth once the syzygy route's
+    elimination size so far reaches the Cartan route's size for those rows;
+    both count rows x cols of the matrices they reduce.  So a module whose
+    syzygies grow stops paying for them, and one whose syzygies stay small
+    never builds the Cartan complex, which grows with the divided powers.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    # cartan[i]: the Cartan route's elimination size for rows i..depth
+    cartan = list(accumulate(reversed(_cartan_sizes(m, depth))))[::-1]
     rows: list[list[int]] = []
-    cur = m
-    for i in range(depth + 1):
-        gens = gmod.top_generators(cur)
-        rows.append([d for d, _ in gens])
-        if gens and i < depth:
-            cur = syzygy_step(cur, gens)[0]
+    spent = 0
+    steps = _syzygy_route(m, depth)
+    while len(rows) <= depth and spent < cartan[len(rows)]:
+        row, spent = next(steps)
+        rows.append(row)
+    if len(rows) <= depth:
+        rows += _cartan_rows(m, len(rows), depth)
     return BettiTable(depth, rows)
 
 

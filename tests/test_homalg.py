@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from exalg import constructions as cons
 from exalg import gmod, homalg, homology
 from exalg import linalg as la
 
@@ -89,8 +90,6 @@ def test_two_ptriv_routes_agree():
 
 def test_hom_counts_build_no_maps(monkeypatch):
     # Hom(P(3), point shifted by 1) has dim 9 and a 5-dimensional ptriv
-    from exalg import constructions as cons
-
     m = cons.filtration_projective(2, 3, P)
     n = gmod.shift(point_module(3), 1)
     built = []
@@ -107,8 +106,6 @@ def test_hom_counts_build_no_maps(monkeypatch):
 
 
 def test_end_algebra_runs_the_hom_sweep_once(monkeypatch):
-    from exalg import constructions as cons
-
     m = cons.filtration_projective(2, 3, P)
     calls = []
     real = gmod.hom_space
@@ -194,6 +191,55 @@ def test_algebra_radical_of_dual_numbers():
     assert rad.contains(np.array([0, 1]))
 
 
+def test_algebra_radical_rejects_bad_structure_constants():
+    # left multiplication by b_0 has trace form 1, by b_1 is zero: the radical
+    # is span(b_1), but b_0 * b_1 = b_0 leaves it
+    mult = np.zeros((2, 2, 2), dtype=np.int64)
+    mult[0, 0, 0] = mult[0, 1, 0] = 1
+    with pytest.raises(ValueError, match="not an ideal"):
+        homalg.algebra_radical_subspace(2, P, mult)
+    # trace(L_0^2) = 1 + 2 * (P - 1) / 2 = 0 with L_0 invertible: the trace
+    # form vanishes, so the radical is everything, and it squares onto itself
+    mult = np.zeros((2, 2, 2), dtype=np.int64)
+    mult[0] = [[1, 1], [(P - 1) // 2, 0]]
+    rad = homalg.algebra_radical_subspace(2, P, mult)
+    assert rad.dim == 2
+    with pytest.raises(ValueError, match="not nilpotent"):
+        homalg._radical_filtration(2, P, mult, rad)
+
+
+def algebra_product(mult, u, v, p):
+    """Coordinates of u * v in an algebra with structure constants mult."""
+    acc = np.zeros(mult.shape[0], dtype=np.int64)
+    for i in np.nonzero(u)[0]:
+        acc = (acc + int(u[i]) * la.matmul_mod(v.reshape(1, -1), mult[i], p).ravel()) % p
+    return acc
+
+
+def elementwise_radical_filtration(dim, p, mult):
+    """Reference: the trace form one entry at a time, rad * rad^k one
+    product at a time."""
+    gram = np.array(
+        [[int(np.trace(la.matmul_mod(mult[i], mult[j], p))) % p for j in range(dim)] for i in range(dim)],
+        dtype=np.int64,
+    ).reshape(dim, dim)
+    rad = la.kernel_basis(gram, p)
+    out = [la.full_subspace(dim, p), rad]
+    while out[-1].dim and len(out) <= dim + 1:
+        rows = [algebra_product(mult, u, v, p) for u in rad.basis for v in out[-1].basis]
+        out.append(la.subspace_from_rows(np.array(rows).reshape(len(rows), dim), dim, p))
+    return out
+
+
+def test_radical_filtration_matches_elementwise_products():
+    fixtures = [point_module(3), gmod.square_truncate(gmod.free_module(3, P, [0]))]
+    fixtures += [cons.filtration_projective(n, d, P) for n, d in ((1, 3), (2, 2), (2, 3))]
+    for m in fixtures:
+        alg = homalg.end_algebra(m)
+        want = elementwise_radical_filtration(alg.dim, P, alg.mult)
+        assert [s.basis.tolist() for s in alg.rad_filtration] == [s.basis.tolist() for s in want]
+
+
 def test_algebra_radical_dimension_guard():
     mult = np.zeros((7, 7, 7), dtype=np.int64)
     with pytest.raises(homalg.DimTooLarge):
@@ -211,7 +257,7 @@ def test_radical_has_no_idempotents():
                 c = rng.integers(0, P, alg.radical.dim, dtype=np.int64)
                 vecs.append(la.matmul_mod(c.reshape(1, -1), alg.radical.basis, P).ravel())
         for v in vecs:
-            sq = homalg.algebra_product(alg.mult, v, v, P)
+            sq = algebra_product(alg.mult, v, v, P)
             if v.any():
                 assert not np.array_equal(sq, v)
 
@@ -327,8 +373,6 @@ def yoneda_ext1_square_zero(vbar, ebar):
 
 def test_ext1_square_zero_matches_yoneda_oracle():
     m = point_module(3)
-    from exalg import constructions as cons
-
     p2 = cons.filtration_projective(2, 2, P)
     fixtures = [m, p2, gmod.shift(m, 1)]
     for v in fixtures:

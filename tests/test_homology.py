@@ -138,9 +138,80 @@ def test_resolution_builds_no_syzygy_beyond_its_depth(monkeypatch):
         return real(m, gens)
 
     monkeypatch.setattr(homology, "syzygy_step", counting)
-    table = homology.minimal_resolution(gmod.simple_module(3, P), 4)
+    rows = syzygy_rows(gmod.simple_module(3, P), 4)
     assert len(calls) == 4  # Omega^1 .. Omega^4, nothing beyond
-    assert table.betti_numbers == [comb(2 + i, i) for i in range(5)]
+    assert [len(r) for r in rows] == [comb(2 + i, i) for i in range(5)]
+
+
+def syzygy_rows(m, depth):
+    return [row for row, _ in homology._syzygy_route(m, depth)]
+
+
+def twisted(m, seed):
+    """m under a random invertible linear substitution of the variables."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = rng.integers(0, m.p, (m.n_plus_1, m.n_plus_1), dtype=np.int64)
+        if la.rref(a, m.p)[0] == m.n_plus_1:
+            return gmod.transport(m, a)
+
+
+def route_fixtures():
+    """(name, module, depth) pairs on which the two Betti routes must agree."""
+    out = [(f"simple n1={n1}", gmod.simple_module(n1, P), 5) for n1 in (2, 3, 4)]
+    out.append(("loewy two n1=3", loewy_two_free_quotient(3), 6))
+    out += [
+        (f"span quotient n1=4 k={k}", cons.span_quotient(4, np.eye(4, dtype=np.int64)[:k], P), 4)
+        for k in range(1, 5)
+    ]
+    out += [(f"point n1={n1}", point_module(n1), 5) for n1 in (2, 3)]
+    out += [(f"pd n=2 d={d}", cons.filtration_projective(2, d, P), 4) for d in (1, 2, 3)]
+    out += [(f"pd n=3 d={d}", cons.filtration_projective(3, d, P), 3) for d in (1, 2, 3)]
+    out += [(f"ar middle n={n}", cons.ar_sequence_middle(n, P).middle, 4) for n in (1, 2)]
+    out += [(f"kronecker i={i}", cons.kronecker_family(i, 1, P), 5) for i in (-2, -1, 1, 2)]
+    out.append(("free on degrees 0 and 1", gmod.free_module(3, P, [0, 1]), 3))
+    out.append(("zero", gmod.zero_module(3, P), 3))
+    out.append(("two layers at depth 0", example_module_two_layer(), 0))
+    out.append(("loewy two n1=3 at depth 0", loewy_two_free_quotient(3), 0))
+    # depth 7 > p = 5: exponents reach p, where divided and symmetric powers differ
+    out.append(("loewy two p=5", gmod.square_truncate(gmod.free_module(3, 5, [0])), 7))
+    out.append(("point p=5", cons.point_module(3, [1, 0, 0], 5), 7))
+    out.append(("span quotient p=5", cons.span_quotient(3, np.eye(3, dtype=np.int64)[:2], 5), 7))
+    return out
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+def test_syzygy_and_cartan_routes_agree(twist):
+    for k, (name, m, depth) in enumerate(route_fixtures()):
+        if twist:
+            m = twisted(m, k)
+        want = syzygy_rows(m, depth)
+        assert homology._cartan_rows(m, 0, depth) == want, name
+        assert homology.minimal_resolution(m, depth).rows == want, name
+
+
+def test_resolution_route_follows_elimination_size(monkeypatch):
+    simple = twisted(gmod.simple_module(4, P), 0)
+    pd = twisted(cons.filtration_projective(3, 3, P), 1)
+    calls = []
+    real = homology.syzygy_step
+
+    def counting(m, gens=None):
+        calls.append(m.dims)
+        return real(m, gens)
+
+    monkeypatch.setattr(homology, "syzygy_step", counting)
+    # maximal complexity: the syzygies grow, and the Cartan complex of a
+    # simple module has no differential at all
+    table = homology.minimal_resolution(simple, 8)
+    assert len(calls) <= 1
+    assert table.betti_numbers == [comb(3 + i, i) for i in range(9)]
+    # complexity one: the syzygies stay small, so the resolution never
+    # leaves the syzygy route
+    calls.clear()
+    table = homology.minimal_resolution(pd, 4)
+    assert len(calls) == 4
+    assert table.betti_numbers == [10] * 5
 
 
 def resolution_differentials(m, depth):
