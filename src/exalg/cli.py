@@ -179,11 +179,10 @@ def cmd_construct(args, p) -> int:
         _emit_module(cons.point_module(n1, form, p))
     elif kind == "mu":
         n1 = args.n + 1
-        if not args.forms:
-            raise ValueError("construct mu needs --forms")
-        rows = [
-            _parse_form(chunk, n1) for chunk in args.forms.split(";") if chunk.strip()
-        ]
+        chunks = [c for c in (args.forms or "").split(";") if c.strip()]
+        if not chunks:
+            raise ValueError("construct mu needs at least one form in --forms")
+        rows = [_parse_form(chunk, n1) for chunk in chunks]
         _emit_module(cons.span_quotient(n1, np.array(rows, dtype=np.int64), p))
     elif kind == "pd":
         _emit_module(cons.filtration_projective(args.n, args.d, p))
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b")
     sp.set_defaults(fn=cmd_stablehom)
 
-    sp = sub.add_parser("ext", help="extension dimension via syzygies")
+    sp = sub.add_parser("ext", help="dim Ext^k from the cover sequence of the (k-1)-th syzygy")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("-k", type=int, default=1)

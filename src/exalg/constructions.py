@@ -123,7 +123,7 @@ def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
     if m.is_zero() or n.is_zero():
         return gmod.zero_module(m.n_plus_1, p)
     pairs: dict[int, list[tuple[int, int]]] = {}
-    for k in range(m.min_deg + n.min_deg, m.max_deg + n.max_deg + 1):
+    for k in sorted({i + j for i in m.degrees for j in n.degrees}):
         row = [(i, k - i) for i in m.degrees if n.dim(k - i)]
         if row:
             pairs[k] = row

@@ -221,9 +221,8 @@ def free_module(n_plus_1: int, p: int, generator_degrees) -> GradedModule:
         for j in range(n_plus_1 + 1):
             dims[g + j] = dims.get(g + j, 0) + comb(n_plus_1, j)
     actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
-    lo, hi = gens[0], gens[-1] + n_plus_1
     for i in range(n_plus_1):
-        for d in range(lo, hi):
+        for d in sorted(dims):
             rows = dims.get(d, 0)
             cols = dims.get(d + 1, 0)
             if not rows or not cols:
@@ -385,9 +384,8 @@ def _closure_subspaces(m: GradedModule, seeds: dict[int, list[np.ndarray]]) -> d
     if not rows:
         return {}
     lo = min(rows)
-    hi = m.max_deg if m.dims else lo
     spans: dict[int, Subspace] = {}
-    for d in range(lo, hi + 1):
+    for d in [e for e in m.degrees if e >= lo]:
         here = rows.get(d, [])
         mat = np.array(here, dtype=np.int64).reshape(len(here), m.dim(d))
         spans[d] = subspace_from_rows(mat, m.dim(d), p)
@@ -614,8 +612,6 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
     ambient = hom_space_dim_layout(a, b)
     if a.is_zero() or b.is_zero():
         return zero_subspace(ambient, p)
-    lo = min(min(a.dims), min(b.dims))
-    hi = max(max(a.dims), max(b.dims))
     nparams = 0
     tensors: dict[int, np.ndarray] = {}  # degree -> (T, m_d, n_d)
 
@@ -650,7 +646,8 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
         nparams = keep.dim
         tensors = _contract_params(tensors, keep.basis, p)
 
-    for d in range(lo, hi + 2):
+    # only degrees d with a in degree d or d - 1 carry a block or an equation
+    for d in sorted(set(a.dims) | {d + 1 for d in a.dims}):
         md_prev, md = a.dim(d - 1), a.dim(d)
         nd_prev, nd = b.dim(d - 1), b.dim(d)
         has_constraints = md_prev > 0 and nd > 0

@@ -358,7 +358,8 @@ def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
     m_power = {d: full_subspace(m.dim(d), p) for d in m.degrees}
     l_power = {d: full_subspace(sub.dim(d), p) for d in sub.degrees}
     image_l = {d: subspace_from_rows(incl.block(d), m.dim(d), p) for d in m.degrees}
-    loewy = (m.max_deg - m.min_deg + 2) if m.dims else 0
+    # J^(n+2) = 0, so past n + 2 steps both powers are zero
+    loewy = min(m.max_deg - m.min_deg + 2, m.n_plus_1 + 1) if m.dims else 0
     for _ in range(loewy + 1):
         for d in m.degrees:
             lp = l_power.get(d)
@@ -399,8 +400,8 @@ def regular_element_test(m: GradedModule, form) -> bool:
         raise ValueError("the zero form is never regular")
     if m.is_zero():
         return True
-    img_rank = 0  # the image in the lowest degree
-    for d in range(m.min_deg, m.max_deg + 1):
+    img_rank = 0  # the image in degree d, zero below a gap in the degrees
+    for d in m.degrees:
         cur = m.form_action(form, d)
         cur_rank = rref(cur, m.p)[0] if cur.size else 0
         if m.dim(d) - cur_rank != img_rank:

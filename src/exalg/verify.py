@@ -23,7 +23,8 @@ _X12_CLAIM = "four-dimensional two-layer fixture over three variables"
 
 
 def _depth_for(n: int) -> int:
-    return 12 if n <= 2 else 8
+    # betti_complexity settles growth degree n+1 only at depth >= 2n+2
+    return 12 if n <= 2 else 2 * n + 2
 
 
 def _e(n_plus_1: int, i: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from exalg import constructions as cons
-from exalg import gmod, modfile, verify
+from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
 from test_linalg import random_matrix, subspace_sum
@@ -169,3 +169,12 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
     with capsys.disabled():
         print(f"\nACCEPTANCE 11 infrastructure (round-trip, determinism, linalg battery): {status}")
     assert not failures, failures
+
+
+def test_examples_depth_settles_maximal_complexity_at_n4():
+    # betti_complexity reads growth degree n+1 off depth >= 2n+2: R modulo all
+    # five coordinate forms is k, of complexity five, and needs depth 10 at n=4
+    depth = verify._depth_for(4)
+    mu = cons.span_quotient(5, np.eye(5, dtype=np.int64), P)
+    table = homology.minimal_resolution(mu, depth)
+    assert verify._cx_pair(mu, table, 0) == (5, 5)

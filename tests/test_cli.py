@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import exalg
 from exalg import constructions as cons
-from exalg import gmod, modfile, verify
+from exalg import gmod, homalg, homology, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
 
@@ -28,7 +28,7 @@ def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
     return code, out, err
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, timeout=None):
     """`python -m exalg.cli argv` in a fresh interpreter that imports the same
     exalg as this test run, also when only pytest's pythonpath finds it."""
     src = str(Path(exalg.__file__).resolve().parents[1])
@@ -38,6 +38,7 @@ def run_subprocess(argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
@@ -416,6 +417,9 @@ def test_run_suite_rejects_n_below_one():
         ["construct", "mxi", "--xi", "1,0"],
         ["construct", "mu", "--n", "2", "--forms", "1,0,0;0,1"],
         ["construct", "mu"],
+        ["construct", "mu", "--n", "2", "--forms", ""],
+        ["construct", "mu", "--n", "2", "--forms", ";"],
+        ["construct", "mu", "--n", "2", "--forms", " ; ;"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, capsys):
@@ -480,3 +484,42 @@ def test_cli_verify_json_deterministic_across_processes():
     b = run_subprocess(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
+
+
+FAR = 10**9
+
+
+def _merged_dims(mods):
+    out = {}
+    for m in mods:
+        for d, c in m.dims.items():
+            out[d] = out.get(d, 0) + c
+    return out
+
+
+@pytest.mark.parametrize("command", ["hom", "ext", "stablehom", "end", "syzygy", "cosyzygy", "tensor"])
+def test_cli_degrees_far_apart(command, tmp_path):
+    # k in degree 0 plus k in degree 10^9: every loop must skip the empty
+    # degrees between, and the answer is that of the two pieces taken apart
+    pieces = [gmod.simple_module(2, P, 0), gmod.simple_module(2, P, FAR)]
+    path = write_module(tmp_path, "far.json", gmod.direct_sum(*pieces)[0])
+    pairs = [(a, b) for a in pieces for b in pieces]
+    two = command in ("hom", "ext", "stablehom", "tensor")
+    proc = run_subprocess([command, path, path] if two else [command, path], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    if command == "hom":
+        dim = sum(homalg.hom_dim(a, b) for a, b in pairs)
+        ptriv = sum(homalg.hom_basis(a, b).ptriv.dim for a, b in pairs)
+        assert dim == 2
+        assert proc.stdout == f"dim={dim} ptriv={ptriv} stable={dim - ptriv}\n"
+    elif command == "ext":
+        assert proc.stdout == f"{sum(homalg.ext_dim(a, b) for a, b in pairs)}\n"
+    elif command == "stablehom":
+        assert proc.stdout == f"{sum(homalg.stable_hom_dim(a, b) for a, b in pairs)}\n"
+    elif command == "end":
+        assert proc.stdout.startswith(f"dim={sum(homalg.hom_dim(a, b) for a, b in pairs)} ")
+        assert "local=False" in proc.stdout
+    else:
+        step = {"syzygy": homology.syzygy, "cosyzygy": homology.cosyzygy}.get(command)
+        outs = [step(m) for m in pieces] if step else [cons.tensor(a, b) for a, b in pairs]
+        assert modfile.parse(proc.stdout).dims == _merged_dims(outs)

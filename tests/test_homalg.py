@@ -6,6 +6,7 @@ import pytest
 from exalg import constructions as cons
 from exalg import gmod, homalg, homology
 from exalg import linalg as la
+from test_gmod import random_structured_module
 
 P = la.DEFAULT_PRIME
 
@@ -103,6 +104,67 @@ def test_hom_counts_build_no_maps(monkeypatch):
     assert homalg.hom_dim(m, n) == 9
     assert homalg.stable_hom_dim(m, n) == 4
     assert not [ab for ab in built if ab[0] is m and ab[1] is n]
+
+
+def test_ext_counts_build_no_maps(monkeypatch):
+    # Ext between P(3) and the point module, also over E/J^2, without
+    # a ptriv subspace, an envelope or any map read off a Hom sweep
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return fail
+
+    m = cons.filtration_projective(2, 3, P)
+    n = point_module(3)
+    mbar, nbar = gmod.square_truncate(m), gmod.square_truncate(n)
+    want = [homalg.ext_dim(m, n, k) for k in (1, 2)], homalg.ext1_square_zero(mbar, nbar)
+    assert want == ([4, 3], 7)
+    monkeypatch.setattr(homalg, "factor_through_projectives", forbidden("ptriv"))
+    monkeypatch.setattr(homology, "injective_envelope", forbidden("envelope"))
+    monkeypatch.setattr(gmod, "hom_space_maps", forbidden("hom_space_maps"))
+    monkeypatch.setattr(gmod, "map_from_flat", forbidden("map_from_flat"))
+    assert ([homalg.ext_dim(m, n, k) for k in (1, 2)], homalg.ext1_square_zero(mbar, nbar)) == want
+    # over E/J^2 not even the cover is built
+    monkeypatch.setattr(gmod.ModuleMap, "__post_init__", forbidden("ModuleMap"))
+    assert homalg.ext1_square_zero(mbar, nbar) == want[1]
+
+
+def ext_route_fixtures():
+    """Same-n groups of modules on which ext_dim must match stable Hom."""
+    groups = {n1: [] for n1 in (2, 3, 4)}
+    for n1 in (3, 4):
+        groups[n1] += [point_module(n1), point_module(n1, np.arange(1, n1 + 1))]
+    groups[3] += [
+        cons.ar_sequence_middle(2, P).middle,
+        cons.filtration_projective(2, 2, P),
+        cons.filtration_projective(2, 3, P),
+        gmod.free_module(3, P, [0, 1]),
+        gmod.zero_module(3, P),
+    ]
+    groups[2] += [cons.kronecker_family(i, 1, P) for i in (-2, 1, 2)]
+    for seed in (3001, 3003, 3009):
+        m = random_structured_module(seed)
+        groups[m.n_plus_1].append(m)
+    return groups
+
+
+def test_ext_matches_stable_hom_out_of_the_syzygy():
+    # two routes: the cover's exact sequence, and Hom(Omega^k m, n) modulo ptriv;
+    # each module is paired with itself and the first two of its group
+    cases = nonzero = 0
+    for group in ext_route_fixtures().values():
+        for m in group:
+            syz = [homology.syzygy(m, k) for k in (1, 2, 3)]
+            for n in {id(n): n for n in [m, *group[:2]]}.values():
+                for i in range(-2, 3):
+                    tgt = gmod.shift(n, i)
+                    for k in (1, 2, 3):
+                        want = homalg.stable_hom_dim(syz[k - 1], tgt)
+                        assert homalg.ext_dim(m, tgt, k) == want, (m, n, i, k)
+                        cases += 1
+                        nonzero += want > 0
+    assert cases > 500 and nonzero > 100, (cases, nonzero)
 
 
 def test_end_algebra_runs_the_hom_sweep_once(monkeypatch):
@@ -374,22 +436,10 @@ def yoneda_ext1_square_zero(vbar, ebar):
 def test_ext1_square_zero_matches_yoneda_oracle():
     m = point_module(3)
     p2 = cons.filtration_projective(2, 2, P)
-    fixtures = [m, p2, gmod.shift(m, 1)]
+    p3 = cons.filtration_projective(2, 3, P)
+    middle = cons.ar_sequence_middle(2, P).middle
+    fixtures = [m, p2, gmod.shift(m, 1), middle, p3]
     for v in fixtures:
         for e in fixtures:
             vbar, ebar = gmod.square_truncate(v), gmod.square_truncate(e)
             assert homalg.ext1_square_zero(vbar, ebar) == yoneda_ext1_square_zero(vbar, ebar)
-
-
-def test_square_zero_cover_is_surjective_and_minimal():
-    m = gmod.square_truncate(point_module(3))
-    cover, epi = homalg._square_zero_cover(m)
-    assert gmod.is_square_zero(cover)
-    assert epi.commutes()
-    for d in m.degrees:
-        assert la.rref(epi.block(d), P)[0] == m.dim(d)
-    syz, incl = homology.kernel_submodule(epi)
-    radical = gmod.radical_subspaces(cover)
-    for d in syz.degrees:
-        for row in incl.block(d):
-            assert radical[d].contains(row)
