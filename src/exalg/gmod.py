@@ -10,9 +10,11 @@ become matrix identities:
     X_i[d] @ X_j[d+1] + X_j[d] @ X_i[d+1] = 0   (i != j)
 
 Degree-zero homomorphisms are per-degree blocks commuting with every
-action matrix.  The Hom solver sweeps the grading one degree at a time,
-carrying a parametrized partial solution, which keeps every elimination
-at per-degree size instead of one monolithic kernel computation.
+action matrix.  The Hom solver works from a presentation: a map is fixed by
+the images of the source's top generators, and those images are cut down
+one degree at a time to the ones that respect the relations among the
+generators' monomial multiples, so every elimination stays at per-degree
+size.
 """
 
 from __future__ import annotations
@@ -530,15 +532,11 @@ def top_generators(m: GradedModule) -> list[tuple[int, np.ndarray]]:
 
     The slots are the non-pivot coordinates of the radical, degrees ascending.
     """
-    gens: list[tuple[int, np.ndarray]] = []
-    for d, rad in radical_subspaces(m).items():
-        piv = set(rad.pivots)
-        for c in range(m.dim(d)):
-            if c not in piv:
-                v = zeros(1, m.dim(d))[0]
-                v[c] = 1
-                gens.append((d, v))
-    return gens
+    return [
+        (d, v)
+        for d, rad in radical_subspaces(m).items()
+        for v in linalg.identity(m.dim(d))[_nonpivots(m.dim(d), rad)]
+    ]
 
 
 def radical_image(m: GradedModule, spans: dict[int, Subspace]) -> dict[int, Subspace]:
@@ -558,6 +556,28 @@ def radical_image(m: GradedModule, spans: dict[int, Subspace]) -> dict[int, Subs
 def square_truncate(m: GradedModule) -> GradedModule:
     """Quotient by all products of two radical layers (radical-square zero)."""
     return quotient_by_subspaces(m, radical_image(m, radical_subspaces(m)))[0]
+
+
+def monomial_rows(m: GradedModule, d0: int, top: np.ndarray) -> list[np.ndarray]:
+    """Entry j holds the rows of top (vectors in m_d0) times every degree-j
+    monomial, in (row, monomial) order, up to j = n + 1 or m's top degree.
+
+    A monomial's row is its largest-variable predecessor's row pushed through
+    that variable's action, which avoids any sign bookkeeping.
+    """
+    n1, p = m.n_plus_1, m.p
+    rows = top.shape[0]
+    out = [top]
+    prev = {(): 0}  # degree-(j-1) monomial -> its position
+    for j in range(1, min(n1, m.max_deg - d0) + 1 if m.dims else 0):
+        d = d0 + j - 1
+        mons = exterior.basis_of_degree(n1, j)
+        acts = np.hstack([m.action(i, d) for i in range(n1)])
+        pushed = matmul_mod(out[-1], acts, p).reshape(rows, len(prev), n1, m.dim(d + 1))
+        cur = pushed[:, [prev[mon[:-1]] for mon in mons], [mon[-1] for mon in mons]]
+        out.append(cur.reshape(rows * len(mons), m.dim(d + 1)))
+        prev = {mon: k for k, mon in enumerate(mons)}
+    return out
 
 
 # -- Hom spaces ------------------------------------------------------------
@@ -590,118 +610,87 @@ def hom_space_dim_layout(a: GradedModule, b: GradedModule) -> int:
     return sum(a.dim(d) * b.dim(d) for d in _blocks_layout(a, b))
 
 
-def _contract_params(tensors: dict[int, np.ndarray], basis: np.ndarray, p: int) -> dict[int, np.ndarray]:
-    out = {}
-    for d, t in tensors.items():
-        tt, r, c = t.shape
-        flat = matmul_mod(basis, t.reshape(tt, r * c), p)
-        out[d] = flat.reshape(basis.shape[0], r, c)
-    return out
-
-
 def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
     """The degree-zero Hom space as the RREF basis of its flattened maps
     (flatten_map's layout, ambient hom_space_dim_layout(a, b)).
 
-    Sweeps degrees upward carrying a parametrized partial solution; each
-    step solves one per-degree linear system, so the work stays at block
-    scale.  The output equals the dense reference solver's basis exactly.
+    A map is fixed by the images u_g in b_(deg g) of a's top generators g,
+    and such images extend to a map exactly when every relation among the
+    words g·x_S holds among the u_g·x_S.  Starting from all candidate
+    images, each degree e where b_e != 0 cuts them to those respecting the
+    relations landing in e (all words there when a_e = 0).  One elimination
+    of [A^T | I], for A the words in degree e, gives the pivot words, the
+    relations (each non-pivot word in terms of the pivot words) and U with
+    U·A[piv]^T = I, so the map's block in degree e is U^T times the images
+    of the pivot words.
     """
     _check_compatible(a, b)
-    p = a.p
+    p, n1 = a.p, a.n_plus_1
     ambient = hom_space_dim_layout(a, b)
-    if a.is_zero() or b.is_zero():
+    gens: dict[int, list[np.ndarray]] = {}
+    for d, v in top_generators(a):
+        gens.setdefault(d, []).append(v)
+    tops = {d: np.array(vs) for d, vs in gens.items()}
+    # the unknowns: one vector of b_(deg g) per generator g, degrees ascending
+    offsets, nparams = {}, 0
+    for d, t in tops.items():
+        offsets[d] = nparams
+        nparams += t.shape[0] * b.dim(d)
+    if not nparams:
         return zero_subspace(ambient, p)
-    nparams = 0
-    tensors: dict[int, np.ndarray] = {}  # degree -> (T, m_d, n_d)
+    words = {d: monomial_rows(a, d, t) for d, t in tops.items()}
+    units = {d: monomial_rows(b, d, linalg.identity(b.dim(d))) for d in tops if b.dim(d)}
 
-    def add_free(d: int, pivots: list[int], ea: np.ndarray | None) -> None:
-        # one fresh parameter per entry of each non-pivot row of block d; the
-        # pivot rows follow from those through the reduced system ea
-        nonlocal nparams
-        free_rows = [r for r in range(a.dim(d)) if r not in set(pivots)]
-        if not free_rows:
-            return
-        old = nparams
-        nparams += len(free_rows) * b.dim(d)
-        for e, t in tensors.items():
-            grown = np.zeros((nparams,) + t.shape[1:], dtype=np.int64)
-            grown[:old] = t
-            tensors[e] = grown
-        block = tensors[d]
-        k = old
-        for fr in free_rows:
-            for c in range(b.dim(d)):
-                block[k, fr, c] = 1
-                if pivots:
-                    block[k, pivots, c] = (-ea[:, fr]) % p
-                k += 1
+    def images(e: int, u: np.ndarray) -> np.ndarray:
+        # (candidates, words, b_e): each candidate's images of the words in degree e
+        parts = []
+        for d, t in tops.items():
+            j = e - d
+            if 0 <= j <= n1:
+                count = t.shape[0] * comb(n1, j)
+                if d in units:
+                    ud = u[:, offsets[d] : offsets[d] + t.shape[0] * b.dim(d)].reshape(-1, b.dim(d))
+                    img = matmul_mod(ud, units[d][j].reshape(b.dim(d), -1), p)
+                else:
+                    img = zeros(len(u) * count, b.dim(e))
+                parts.append(img.reshape(len(u), count, b.dim(e)))
+        return np.concatenate(parts, axis=1)
 
-    def cut(constraint: np.ndarray) -> None:
-        # constraint is (T, q); keep the parameter combinations annihilating it
-        nonlocal nparams, tensors
-        if not constraint.any():
-            return
-        keep = left_kernel_basis(constraint, p)
-        nparams = keep.dim
-        tensors = _contract_params(tensors, keep.basis, p)
+    def along_words(mat: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+        # mat (r, words) applied along the word axis: (candidates, r, b_e)
+        t, w, c = imgs.shape
+        out = matmul_mod(mat, imgs.transpose(1, 0, 2).reshape(w, t * c), p)
+        return out.reshape(len(mat), t, c).transpose(1, 0, 2)
 
-    # only degrees d with a in degree d or d - 1 carry a block or an equation
-    for d in sorted(set(a.dims) | {d + 1 for d in a.dims}):
-        md_prev, md = a.dim(d - 1), a.dim(d)
-        nd_prev, nd = b.dim(d - 1), b.dim(d)
-        has_constraints = md_prev > 0 and nd > 0
-        if not has_constraints:
-            if md and nd:
-                tensors[d] = np.zeros((nparams, md, nd), dtype=np.int64)
-                add_free(d, [], None)
-            continue
-        # incoming equations: vstack_i X^a_i[d-1] @ B[d] = vstack_i B[d-1] @ X^b_i[d-1]
-        rows_a = (a.n_plus_1) * md_prev
-
-        def incoming_rhs() -> np.ndarray:
-            if not (nd_prev and (d - 1) in tensors):
-                return np.zeros((nparams, rows_a, nd), dtype=np.int64)
-            tprev = tensors[d - 1]
-            parts = []
-            for i in range(a.n_plus_1):
-                flat = matmul_mod(tprev.reshape(-1, nd_prev), b.action(i, d - 1), p)
-                parts.append(flat.reshape(nparams, md_prev, nd))
-            return np.concatenate(parts, axis=1)
-
-        rhs = incoming_rhs()
-        if md == 0:
-            cut(rhs.reshape(nparams, rows_a * nd))
-            continue
-        amat = np.vstack([a.action(i, d - 1) for i in range(a.n_plus_1)])
-        aug = np.hstack([amat, linalg.identity(rows_a)])
-        r_aug, red, piv = rref(aug, p)
-        rank_a = sum(1 for c in piv if c < md)
-        ea = red[:rank_a, :md]
-        pivots_a = [c for c in piv if c < md]
-        u_top = red[:rank_a, md:]
-        u_bot = red[rank_a:r_aug, md:]
-        if u_bot.shape[0] and nparams:
-            cons = matmul_mod(u_bot, rhs.transpose(1, 0, 2).reshape(rows_a, nparams * nd), p)
-            cons = cons.reshape(u_bot.shape[0], nparams, nd).transpose(1, 0, 2)
-            cut(cons.reshape(nparams, u_bot.shape[0] * nd))
-            rhs = incoming_rhs()
-        # particular solutions for surviving parameters
-        part = np.zeros((nparams, md, nd), dtype=np.int64)
-        if rank_a:
-            ur = matmul_mod(u_top, rhs.transpose(1, 0, 2).reshape(rows_a, nparams * nd), p)
-            ur = ur.reshape(rank_a, nparams, nd).transpose(1, 0, 2)
-            part[:, pivots_a, :] = ur
-        tensors[d] = part
-        add_free(d, pivots_a, ea)
-    if nparams == 0:
-        return zero_subspace(ambient, p)
-    # canonicalize: RREF of the flattened solution space
-    layout = _blocks_layout(a, b)
-    flat = np.concatenate(
-        [tensors[d].reshape(nparams, -1) for d in layout], axis=1
-    ) if layout else zeros(nparams, 0)
-    return subspace_from_rows(flat, ambient, p)
+    u = linalg.identity(nparams)
+    solved = {}  # degree -> (pivot words, U^T) where a_e != 0
+    for e in sorted(b.dims):
+        if not any(0 <= e - d <= n1 for d in units):
+            continue  # every word's image is zero
+        if a.dim(e):
+            amat = np.vstack([words[d][e - d] for d in tops if 0 <= e - d <= n1])
+            nw = amat.shape[0]
+            _, red, piv = rref(np.hstack([amat.T, linalg.identity(a.dim(e))]), p)
+            solved[e] = piv, red[:, nw:].T
+            if nw == len(piv):
+                continue  # no relations land here
+            free = np.delete(np.arange(nw), piv)
+            imgs = images(e, u)
+            cons = (imgs[:, free] - along_words(red[:, free].T, imgs[:, piv])) % p
+        else:
+            cons = images(e, u)
+        if cons.any():
+            u = matmul_mod(left_kernel_basis(cons.reshape(len(u), -1), p).basis, u, p)
+            if not len(u):
+                return zero_subspace(ambient, p)
+    flat = []
+    for e in _blocks_layout(a, b):
+        if e in solved:
+            piv, ut = solved[e]
+            flat.append(along_words(ut, images(e, u)[:, piv]).reshape(len(u), -1))
+        else:
+            flat.append(zeros(len(u), a.dim(e) * b.dim(e)))
+    return subspace_from_rows(np.hstack(flat), ambient, p)
 
 
 def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:

@@ -55,34 +55,20 @@ def free_map_from_generators(
 ) -> ModuleMap:
     """The unique module map from a free module sending generators to images.
 
-    The free basis is indexed by (generator, monomial); a monomial row is
-    the row of its largest-variable predecessor pushed through that
-    variable's action, which avoids any sign bookkeeping.
+    images follow the generators in ascending degree; the free basis is
+    indexed by (generator, monomial), which is gmod.monomial_rows' order
+    for the images of one generator degree.
     """
-    p = free.p
-    blocks: dict[int, np.ndarray] = {}
-    prev_rows: np.ndarray | None = None
-    prev_index: dict[tuple[int, tuple[int, ...]], int] = {}
-    for e in sorted(free.dims):
-        labels = gmod.free_basis_labels(free.n_plus_1, gen_degrees, e)
-        rows = zeros(len(labels), target.dim(e))
-        by_last: dict[int, tuple[list[int], list[int]]] = {}
-        for r, (k, mon) in enumerate(labels):
-            if not mon:
-                if target.dim(e):
-                    rows[r] = np.asarray(images[k], dtype=np.int64) % p
-            else:
-                dst, src = by_last.setdefault(mon[-1], ([], []))
-                dst.append(r)
-                src.append(prev_index[(k, mon[:-1])])
-        if target.dim(e):
-            for i, (dst, src) in by_last.items():
-                if prev_rows is None or prev_rows.shape[1] == 0:
-                    continue
-                rows[dst] = matmul_mod(prev_rows[src], target.action(i, e - 1), p)
-        blocks[e] = rows
-        prev_rows = rows if target.dim(e) else zeros(len(labels), target.dim(e))
-        prev_index = {lab: r for r, lab in enumerate(labels)}
+    tops: dict[int, list[np.ndarray]] = {}
+    for g, img in zip(sorted(int(g) for g in gen_degrees), images):
+        tops.setdefault(g, []).append(np.asarray(img, dtype=np.int64) % free.p)
+    pushed = {g: gmod.monomial_rows(target, g, np.array(v)) for g, v in tops.items()}
+    # e is at most target's top degree, so every generator reaching e has rows[e - g]
+    blocks = {
+        e: np.vstack([rows[e - g] for g, rows in pushed.items() if 0 <= e - g < len(rows)])
+        for e in free.dims
+        if target.dim(e)
+    }
     return ModuleMap(free, target, blocks)
 
 

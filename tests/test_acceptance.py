@@ -40,6 +40,17 @@ REPORT_SHA256 = {
     ("selfext", 2): "fab460aacc8357850ff8ce44d5ef66976376dadcd8e9d43be437569735dc2435",
     ("selfext", 3): "280509d388a99defb685b7ba037068a6f1cefa1e8a19891f92d139c008817570",
     ("phi", 2): "e1379f2dc4653278904c2045ee4af28e1158f93ac0cc6de47b46adae196662e1",
+    # n=4, recorded with the degree-sweep Hom solver that gmod.hom_space
+    # replaced; kronecker and phi run at a fixed n
+    ("eisenbud", 4): "f75e3d2b16c82cc8ac0cf2b14bf6adcf50c297f2994973989507688f6b369729",
+    ("examples", 4): "3c227ffc221e064b44917d15f379a7b05e663df447a936713046e8d1f7c0dece",
+    ("lemma2.1", 4): "93dcac5fd8eaae1e5a5ea1f30ee26696a1907cd5b614cb9a87bf04cfc503663f",
+    ("cor2.2", 4): "ac8624b2a59201845ea0821233129f704cf8b6e322def4d0a8e06839720f7466",
+    ("pd", 4): "652066338612b8f520972b9a0bb6ac5460324ba5af819a32fe6b59a98a8773a5",
+    ("lemma2.7", 4): "ea45fc8fb220c6a9c3f23a09eb610c43f67cda60bfb655dc1946c6162e370cfc",
+    ("tensor", 4): "9e277add0628885d42d7f8063032f3b61510e1e8fe5da847f2787da0721095b9",
+    ("relative", 4): "4ed53ab268a5c662cf0a4aa9573443180dcad39739e62875075ab9d48ecb8b65",
+    ("selfext", 4): "35e3c5d2553f33f76a4405ad1c6ed64d66d758b4cddc37bc32a59977ffd778fc",
 }
 
 
@@ -169,6 +180,12 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
     with capsys.disabled():
         print(f"\nACCEPTANCE 11 infrastructure (round-trip, determinism, linalg battery): {status}")
     assert not failures, failures
+
+
+@pytest.mark.parametrize("name", [name for name, n in REPORT_SHA256 if n == 4])
+def test_verify_report_pinned_at_n4(name):
+    total, bad = _suites_pass((name, 4))
+    assert total and not bad, [c.check_id for c in bad]
 
 
 def test_examples_depth_settles_maximal_complexity_at_n4():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exalg import constructions as cons
 from exalg import gmod, homalg
 from exalg import linalg as la
 
@@ -302,10 +303,18 @@ def hom_fixture_pairs():
     sub, _, quot, _ = gmod.sub_quotient(r2, [(1, np.array([1, 0]))])
     pairs.append((sub, quot))
     pairs.append((quot, sub))
+    # relations that land where the source is zero: k·x_i = 0 must force
+    # the image of k into the socle of the target
+    k = gmod.simple_module(3, P, 0)
+    point = cons.point_module(3, [1, 0, 0], P)
+    pairs += [(k, point), (k, r3), (point, gmod.shift(point, 1))]
+    # a generator in degree 2 of the source, where the target is zero
+    free02 = gmod.free_module(3, P, [0, 2])
+    pairs += [(free02, t3), (free02, gmod.direct_sum(t3, gmod.shift(t3, -3))[0])]
     return pairs
 
 
-def test_hom_sweep_matches_dense_reference():
+def test_hom_space_matches_dense_reference():
     for a, b in hom_fixture_pairs():
         fast = gmod.hom_space_maps(a, b)
         slow = hom_space_dense(a, b)
@@ -349,7 +358,7 @@ def random_structured_module(seed):
     return m
 
 
-def test_hom_sweep_matches_dense_on_random_structured_modules():
+def test_hom_space_matches_dense_on_random_structured_modules():
     done = 0
     for t in range(40):
         a = random_structured_module(1000 + t)

@@ -108,7 +108,7 @@ def test_hom_counts_build_no_maps(monkeypatch):
 
 def test_ext_counts_build_no_maps(monkeypatch):
     # Ext between P(3) and the point module, also over E/J^2, without
-    # a ptriv subspace, an envelope or any map read off a Hom sweep
+    # a ptriv subspace, an envelope or any map read off a Hom space
     def forbidden(name):
         def fail(*args, **kwargs):
             raise AssertionError(f"{name} called")
@@ -167,7 +167,7 @@ def test_ext_matches_stable_hom_out_of_the_syzygy():
     assert cases > 500 and nonzero > 100, (cases, nonzero)
 
 
-def test_end_algebra_runs_the_hom_sweep_once(monkeypatch):
+def test_end_algebra_solves_hom_once(monkeypatch):
     m = cons.filtration_projective(2, 3, P)
     calls = []
     real = gmod.hom_space

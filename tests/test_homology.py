@@ -6,6 +6,7 @@ import pytest
 from exalg import constructions as cons
 from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
+from test_gmod import random_structured_module
 
 P = la.DEFAULT_PRIME
 
@@ -314,6 +315,16 @@ def test_relative_sub_rejects_socle_line():
     sub, incl, quot, proj = gmod.sub_quotient(r, [(2, np.array([1]))])
     assert sub.dims == {2: 1}
     assert not homology.is_relative_sub(r, incl)
+
+
+def test_relative_sub_checks_radical_powers_beyond_the_first():
+    # m and mJ meet L in L and LJ, but mJ^2 meets L in a line of degree 4
+    # while LJ^2 = 0
+    m = random_structured_module(7180)
+    assert (m.n_plus_1, m.dims) == (2, {2: 1, 3: 3, 4: 2})
+    sub, incl, _, _ = gmod.sub_quotient(m, [(3, np.array([1, 2, 1]))])
+    assert sub.dims == {3: 1, 4: 2}
+    assert not homology.is_relative_sub(m, incl)
 
 
 def test_weakly_koszul_linear_modules():
