@@ -243,16 +243,6 @@ def free_module(n_plus_1: int, p: int, generator_degrees) -> GradedModule:
     return GradedModule(n_plus_1, p, dims, actions)
 
 
-def free_basis_labels(n_plus_1: int, generator_degrees, degree: int):
-    """(generator index, monomial) labels matching free_module's basis order."""
-    gens = sorted(int(g) for g in generator_degrees)
-    out = []
-    for k, g in enumerate(gens):
-        for mon in exterior.basis_of_degree(n_plus_1, degree - g):
-            out.append((k, mon))
-    return out
-
-
 def simple_module(n_plus_1: int, p: int, degree: int = 0) -> GradedModule:
     """The one-dimensional module concentrated in a single degree."""
     return GradedModule(n_plus_1, p, {degree: 1}, [{} for _ in range(n_plus_1)])
@@ -261,27 +251,25 @@ def simple_module(n_plus_1: int, p: int, degree: int = 0) -> GradedModule:
 # -- validation -----------------------------------------------------------
 
 
+def _product(m: GradedModule, i: int, j: int, d: int):
+    """x_i then x_j from degree d; an absent block is zero, never built densely."""
+    a, b = m.actions[i].get(d), m.actions[j].get(d + 1)
+    return 0 if a is None or b is None else matmul_mod(a, b, m.p)
+
+
 def validate(m: GradedModule) -> list[str]:
     """Check the graded-module axioms; returns one message per violation.
 
     Entries need no range check: the constructor reduces every block mod p.
     """
     problems: list[str] = []
-    p = m.p
-
-    def product(i: int, j: int, d: int):
-        # an absent block is zero: never build and multiply it densely
-        a, b = m.actions[i].get(d), m.actions[j].get(d + 1)
-        return 0 if a is None or b is None else matmul_mod(a, b, p)
-
-    degs = m.degrees
-    for d in degs:
+    for d in m.degrees:
         for i in range(m.n_plus_1):
-            if np.any(product(i, i, d)):
+            if np.any(_product(m, i, i, d)):
                 problems.append(f"square-zero violated: (i={i}, j={i}, d={d})")
         for i in range(m.n_plus_1):
             for j in range(i + 1, m.n_plus_1):
-                anti = (product(i, j, d) + product(j, i, d)) % p
+                anti = (_product(m, i, j, d) + _product(m, j, i, d)) % m.p
                 if np.any(anti):
                     problems.append(f"anticommutation violated: (i={i}, j={j}, d={d})")
     return problems
@@ -292,7 +280,7 @@ def is_square_zero(m: GradedModule) -> bool:
     for d in m.degrees:
         for i in range(m.n_plus_1):
             for j in range(m.n_plus_1):
-                if matmul_mod(m.action(i, d), m.action(j, d + 1), m.p).any():
+                if np.any(_product(m, i, j, d)):
                     return False
     return True
 

@@ -5,9 +5,8 @@ and first extensions over the radical-square-zero truncation.
 Stable Hom is the Hom space modulo maps factoring through a projective.
 Because the algebra is self-injective, those are exactly the maps
 extending over the minimal injective envelope of the source, which is how
-hom_basis computes the projectively-trivial subspace; the route through a
-projective cover of the target is also provided and the two are checked
-against each other in the test suite.
+hom_basis computes the projectively-trivial subspace; the test suite checks
+it against the route through a projective cover of the target.
 
 Ext dimensions build no such subspace.  A minimal cover sequence
 0 -> Omega X -> P -> X -> 0 gives the exact sequence 0 -> Hom(X, N) ->
@@ -104,19 +103,6 @@ def factor_through_projectives(
         return zero_subspace(0, m.p)
     env, mono = homology.injective_envelope(m)
     composites = [gmod.map_compose(mono, g) for g in gmod.hom_space_maps(env, n)]
-    return subspace_from_rows(_coords(space, composites), space.dim, m.p)
-
-
-def factor_through_projectives_via_cover(
-    m: GradedModule, n: GradedModule, space: Subspace | None = None
-) -> Subspace:
-    """Same subspace computed through the projective cover of the target."""
-    if space is None:
-        space = gmod.hom_space(m, n)
-    if not space.dim:
-        return zero_subspace(0, m.p)
-    cover, epi = homology.projective_cover(n)
-    composites = [gmod.map_compose(h, epi) for h in gmod.hom_space_maps(m, cover)]
     return subspace_from_rows(_coords(space, composites), space.dim, m.p)
 
 

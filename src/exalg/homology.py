@@ -503,43 +503,47 @@ def ar_translate(m: GradedModule) -> GradedModule:
     return gmod.shift(syz2, m.n_plus_1)
 
 
-def lift_through_cover(f: ModuleMap, cover_degrees: list[int], epi: ModuleMap) -> ModuleMap:
-    """Lift f through a surjection: f's free source maps into epi's source.
+def lift_through_cover(
+    free: GradedModule, degrees: list[int], images: list[np.ndarray], epi: ModuleMap
+) -> ModuleMap:
+    """A map free -> epi's source whose composite with epi sends generator k
+    to images[k] in epi's target.
 
-    f's source must be the free module on cover_degrees.  Each generator is
-    sent to a solved preimage of its image, then extended freely, so the
-    lift is a genuine module map with lift∘epi = f.
+    free is the free module on degrees (ascending).  Each generator goes to
+    a solved preimage of its image under epi, extended freely, so the lift
+    is a genuine module map.
     """
-    p = f.source.p
-    gens = sorted(cover_degrees)
-    images: list[np.ndarray] = []
-    for k, g in enumerate(gens):
-        # generator k is the row labelled (k, empty monomial) in degree g
-        r = gmod.free_basis_labels(f.source.n_plus_1, gens, g).index((k, ()))
-        pre = solve(epi.block(g).T, f.block(g)[r], p)
-        if pre is None:
+    pre = []
+    for g, img in zip(degrees, images):
+        x = solve(epi.block(g).T, img, free.p)
+        if x is None:
             raise ValueError("cannot lift through a non-surjective cover")
-        images.append(pre)
-    return free_map_from_generators(f.source, gens, epi.source, images)
+        pre.append(x)
+    return free_map_from_generators(free, degrees, epi.source, pre)
 
 
 def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
     """Induced maps on syzygies of a short exact sequence A -> B -> C.
 
-    Returns (incl_s, proj_s, exact) where exact reports whether the induced
-    sequence of syzygies is again short exact degree-wise.
+    Generator (d, v) of A's cover goes to v·incl in B, lifted through B's
+    cover; generator (d, v) of B's cover goes to v·proj in C, lifted through
+    C's cover.  The lifts restrict to the syzygies.  Returns (incl_s,
+    proj_s, exact) where exact reports whether the induced sequence of
+    syzygies is again short exact degree-wise.
     """
     a, b, c = incl.source, incl.target, proj.target
     p = a.p
     gens_a, gens_b = gmod.top_generators(a), gmod.top_generators(b)
-    _, incl_a, _, epi_a = syzygy_step(a, gens_a)
-    _, incl_b, _, epi_b = syzygy_step(b, gens_b)
+    _, incl_a, cover_a, _ = syzygy_step(a, gens_a)
+    _, incl_b, cover_b, epi_b = syzygy_step(b, gens_b)
     _, incl_c, _, epi_c = syzygy_step(c)
-    degrees_a = [d for d, _ in gens_a]
-    degrees_b = [d for d, _ in gens_b]
-    # lift cover_a -> B through epi_b, and cover_b -> C through epi_c
-    lift_ab = lift_through_cover(gmod.map_compose(epi_a, incl), degrees_a, epi_b)
-    lift_bc = lift_through_cover(gmod.map_compose(epi_b, proj), degrees_b, epi_c)
+
+    def lift(cover: GradedModule, gens, f: ModuleMap, epi: ModuleMap) -> ModuleMap:
+        images = [matmul_mod(v[None, :], f.block(d), p)[0] for d, v in gens]
+        return lift_through_cover(cover, [d for d, _ in gens], images, epi)
+
+    lift_ab = lift(cover_a, gens_a, incl, epi_b)
+    lift_bc = lift(cover_b, gens_b, proj, epi_c)
 
     # restrict to kernels, checking each block where it is built
     def restrict(big: ModuleMap, sub_incl: ModuleMap, tgt_incl: ModuleMap) -> ModuleMap:

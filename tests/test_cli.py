@@ -393,6 +393,35 @@ def test_cli_hom_and_end_json_pinned(argv, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HOM_SHA256[argv]
 
 
+# sha256 of `exalg syzygy`, `exalg cosyzygy` and `exalg tensor` stdout,
+# recorded before exterior.generator_matrices became E's one multiplication
+# table; tensor takes the module twice
+MODULE_OP_SHA256 = {
+    (("pd", "--n", "3", "--d", "3"), ("syzygy", "-k", "2")): (
+        "5b6c52edb6ee52cab53d9e59685043164eb3efa76a3d89a04842facdea270549"
+    ),
+    (("pd", "--n", "2", "--d", "3"), ("cosyzygy", "-k", "2")): (
+        "a2c07ffdc88114b851d7828a8908461e7d2b4bd4867422ee1d919ea06f5506a4"
+    ),
+    (("mu", "--n", "3", "--forms", "1,2,0,0;0,1,3,0"), ("syzygy", "-k", "3")): (
+        "03f353b79c1b7856e568d740f80e8c6df281b2360652dfd856d7dfc6791c25c9"
+    ),
+    (("xxi", "--n", "2"), ("tensor",)): "091780507421d98c031d7208b090cd6b2e0a4c59459425366de2e988737bb821",
+}
+
+
+@pytest.mark.parametrize("construct, command", sorted(MODULE_OP_SHA256))
+def test_cli_module_operations_pinned(construct, command, tmp_path, capsys):
+    code, out, _ = run_cli(["construct", *construct], capsys=capsys)
+    assert code == 0
+    path = tmp_path / "m.json"
+    path.write_text(out, encoding="utf-8")
+    operands = [str(path)] * (2 if command[0] == "tensor" else 1)
+    code, out, _ = run_cli([command[0], *operands, *command[1:]], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODULE_OP_SHA256[(construct, command)]
+
+
 @pytest.mark.parametrize("suite", ["pd", "eisenbud", "relative"])
 def test_cli_verify_rejects_n_zero(suite, capsys):
     code, out, err = run_cli(["verify", "--suite", suite, "--n", "0"], capsys=capsys)

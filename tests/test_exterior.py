@@ -1,6 +1,7 @@
 import numpy as np
 
 from exalg import exterior as ext
+from exalg import gmod
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
@@ -49,32 +50,34 @@ def test_wedge_sign_matches_bruteforce():
 
 def test_basis_sizes_sum_to_power_of_two():
     for n_plus_1 in range(1, 6):
-        basis = ext.algebra_basis(n_plus_1)
+        basis = [ext.basis_of_degree(n_plus_1, j) for j in range(n_plus_1 + 1)]
         assert sum(len(b) for b in basis) == 2 ** n_plus_1
         for j, b in enumerate(basis):
             assert len(b) == ext.algebra_dim(n_plus_1, j)
             assert b == sorted(b)
 
 
+def algebra(n_plus_1):
+    """E as the free module on one generator in degree 0, in its monomial basis."""
+    return gmod.free_module(n_plus_1, P, [0])
+
+
 def test_right_mult_zero_form():
-    basis = ext.algebra_basis(3)
-    m = ext.right_mult_matrix(basis[1], basis[2], np.zeros(3, dtype=np.int64), P)
+    m = algebra(3).form_action(np.zeros(3, dtype=np.int64), 1)
     assert not m.any()
 
 
 def test_right_mult_by_x0_degree0():
-    basis = ext.algebra_basis(2)
     form = np.array([1, 0])
-    m = ext.right_mult_matrix(basis[0], basis[1], form, P)
+    m = algebra(2).form_action(form, 0)
     assert np.array_equal(m, np.array([[1, 0]]))
 
 
 def test_right_mult_sum_form_degree1_n2():
     # v = x0 + x1 on the degree-1 span of the algebra on three variables:
     # x0 -> x0x1, x1 -> -x0x1, x2 -> -x0x2 - x1x2 (one transposition each)
-    basis = ext.algebra_basis(3)
     form = np.array([1, 1, 0])
-    m = ext.right_mult_matrix(basis[1], basis[2], form, P)
+    m = algebra(3).form_action(form, 1)
     want = np.array([[1, 0, 0], [P - 1, 0, 0], [0, P - 1, P - 1]])
     assert np.array_equal(m, want)
 
@@ -92,13 +95,30 @@ def test_generator_matrices_square_zero_and_anticommute():
                     assert not prod.any()
 
 
+def test_generator_matrices_hold_the_bruteforce_signs():
+    # entry (S, S ∪ {i}) of x_i's matrix is the sign of S ∧ x_i; all else is 0
+    for n_plus_1 in range(1, 6):
+        for p in (5, 32003):
+            mats = ext.generator_matrices(n_plus_1, p)
+            for i in range(n_plus_1):
+                for d in range(n_plus_1):
+                    rows = ext.basis_of_degree(n_plus_1, d)
+                    cols = ext.basis_of_degree(n_plus_1, d + 1)
+                    want = np.zeros((len(rows), len(cols)), dtype=np.int64)
+                    for r, mon in enumerate(rows):
+                        sign = wedge_sign_bruteforce(mon, (i,))
+                        if sign is not None:
+                            want[r, cols.index(tuple(sorted(mon + (i,))))] = sign % p
+                    assert np.array_equal(mats[i][d], want)
+
+
 def test_self_composition_of_any_form_vanishes():
     rng = np.random.default_rng(12)
     n_plus_1 = 4
-    basis = ext.algebra_basis(n_plus_1)
+    e = algebra(n_plus_1)
     for _ in range(10):
         form = rng.integers(0, P, n_plus_1, dtype=np.int64)
         for d in range(n_plus_1 - 1):
-            a = ext.right_mult_matrix(basis[d], basis[d + 1], form, P)
-            b = ext.right_mult_matrix(basis[d + 1], basis[d + 2], form, P)
+            a = e.form_action(form, d)
+            b = e.form_action(form, d + 1)
             assert not la.matmul_mod(a, b, P).any()

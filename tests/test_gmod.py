@@ -210,6 +210,16 @@ def test_square_truncate_idempotent_on_square_zero():
     assert gmod.square_truncate(m).dims == m.dims
 
 
+def test_free_module_is_not_square_zero():
+    # x0 x1 is a nonzero length-two product in E on three variables
+    r = gmod.free_module(3, P, [0])
+    assert not gmod.is_square_zero(r)
+    t = radical_square_quotient(3)
+    for mbar, nbar in ((r, t), (t, r)):
+        with pytest.raises(ValueError, match="radical-square-zero"):
+            homalg.ext1_square_zero(mbar, nbar)
+
+
 def test_transport_of_free_is_isomorphic():
     r = gmod.free_module(2, P, [0])
     a = np.array([[1, 1], [0, 1]])

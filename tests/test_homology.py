@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from exalg import constructions as cons
+from exalg import exterior as ext
 from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
 from test_gmod import random_structured_module
@@ -18,14 +19,14 @@ def test_syzygy_of_ses_checks_the_projection_restriction(monkeypatch):
     real = homology.lift_through_cover
     calls = []
 
-    def skewed(f, degrees, epi):
-        calls.append(f)
+    def skewed(free, degrees, images, epi):
+        calls.append(images)
         if len(calls) == 2:
-            # replace cover_b -> C by a free map that does not vanish on the syzygy
-            gens = sorted(degrees)
-            first = np.eye(1, f.target.dim(gens[0]), dtype=np.int64)[0]
-            f = homology.free_map_from_generators(f.source, gens, f.target, [first] * len(gens))
-        return real(f, degrees, epi)
+            # send every generator of cover_b to the first unit vector of C,
+            # a free map that does not vanish on the syzygy
+            first = np.eye(1, epi.target.dim(degrees[0]), dtype=np.int64)[0]
+            images = [first] * len(degrees)
+        return real(free, degrees, images, epi)
 
     monkeypatch.setattr(homology, "lift_through_cover", skewed)
     with pytest.raises(ValueError, match="does not land"):
@@ -227,6 +228,16 @@ def resolution_differentials(m, depth):
     return out
 
 
+def free_basis_labels(n_plus_1, generator_degrees, degree):
+    """(generator index, monomial) labels matching free_module's basis order."""
+    gens = sorted(int(g) for g in generator_degrees)
+    out = []
+    for k, g in enumerate(gens):
+        for mon in ext.basis_of_degree(n_plus_1, degree - g):
+            out.append((k, mon))
+    return out
+
+
 def test_resolution_differentials_are_minimal():
     m = example_module_two_layer()
     diffs = resolution_differentials(m, 3)
@@ -236,7 +247,7 @@ def test_resolution_differentials_are_minimal():
         # (all entries of a minimal differential lie in the radical)
         tgt_degrees = free_rows[i]
         for e in sorted(dmap.source.dims):
-            tgt_labels = gmod.free_basis_labels(dmap.target.n_plus_1, tgt_degrees, e)
+            tgt_labels = free_basis_labels(dmap.target.n_plus_1, tgt_degrees, e)
             gen_cols = [c for c, (k, mon) in enumerate(tgt_labels) if not mon]
             if gen_cols and dmap.source.dim(e):
                 assert not dmap.block(e)[:, gen_cols].any()
