@@ -13,7 +13,9 @@ the divided-power monomials y^(a) with |a| = i and whose differential
 sends v ⊗ y^(a) to sum_l v·x_l ⊗ y^(a - e_l).  Every coefficient is 1,
 so E ⊗ Gamma(V) resolves k in every characteristic; with symmetric
 powers the coefficients a_l vanish mod p once an exponent reaches p.
-minimal_resolution picks the route by elimination sizes.
+minimal_resolution picks the route by elimination sizes, after a change of
+rings: a regular sequence of linear forms is dropped, so M is resolved as
+M/UM over the exterior algebra on V/U, U the forms' span.
 """
 
 from __future__ import annotations
@@ -276,10 +278,8 @@ def _cartan_rows(m: GradedModule, lo: int, depth: int) -> list[list[int]]:
     return rows
 
 
-def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTable:
-    """Generator degrees of the minimal free resolution up to F^depth.
-
-    Two routes give the same rows.  The syzygy route reads row i off the
+def _route_rows(m: GradedModule, depth: int) -> list[list[int]]:
+    """Rows 0..depth by two routes.  The syzygy route reads row i off the
     top of Omega^i.  The Cartan route reads rows off Tor^E(M, k), the
     homology of the complex M ⊗ Gamma(V) of divided powers, and builds no
     syzygy.  A resolution starts on the syzygy route.  Before row i it
@@ -289,8 +289,6 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
     syzygies grow stops paying for them, and one whose syzygies stay small
     never builds the Cartan complex, which grows with the divided powers.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     # cartan[i]: the Cartan route's elimination size for rows i..depth
     cartan = list(accumulate(reversed(_cartan_sizes(m, depth))))[::-1]
     rows: list[list[int]] = []
@@ -301,7 +299,41 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
         rows.append(row)
     if len(rows) <= depth:
         rows += _cartan_rows(m, len(rows), depth)
+    return rows
+
+
+def _reduced_table(
+    m: GradedModule, depth: int, forms: list[np.ndarray], quot: GradedModule
+) -> BettiTable:
+    """The table of m from _regular_steps' forms and quotient: quot over the
+    exterior algebra on V/U, U the forms' span, whose variables are the
+    x_c for the non-pivot columns c of RREF(forms)."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if len(forms) == m.n_plus_1:
+        # U = V: m is free on the degrees of m/Jm (none for the zero module)
+        rows = [[d for d in quot.degrees for _ in range(quot.dim(d))]]
+        rows += [[] for _ in range(depth)]
+    else:
+        pivots = rref(np.array(forms).reshape(-1, m.n_plus_1), m.p)[2]
+        keep = [c for c in range(m.n_plus_1) if c not in pivots]
+        small = GradedModule(len(keep), m.p, quot.dims, [quot.actions[c] for c in keep])
+        rows = _route_rows(small, depth)
     return BettiTable(depth, rows)
+
+
+def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTable:
+    """Generator degrees of the minimal free resolution up to F^depth.
+
+    If a linear form l acts exactly on M then Tor^E_i(M, k)_j =
+    Tor^{E/l}_i(M/lM, k)_j, so M is resolved as M/UM over the exterior
+    algebra on V/U, U the span of a regular sequence.  Every form is
+    certified by the exact regular_element_test and any certified sequence
+    gives the same rows; the seeded search only decides how many variables
+    are saved.  A complexity-one module drops to one variable and a free
+    module to its generators; _route_rows resolves what is left.
+    """
+    return _reduced_table(m, depth, *_regular_steps(m))
 
 
 def is_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
@@ -446,15 +478,8 @@ def betti_complexity(table: BettiTable, n_plus_1: int) -> int | None:
     return None
 
 
-def regular_sequence(m: GradedModule, seed: int = 0) -> list[np.ndarray]:
-    """A maximal regular sequence of linear forms, found greedily (seeded).
-
-    At each step the search samples linear forms and keeps the first one
-    acting exactly on the current quotient.  Over a large field a generic
-    form is regular whenever any form is, so the greedy length is the
-    maximal one with overwhelming probability; the complexity of m is
-    n_plus_1 minus that length.
-    """
+def _regular_steps(m: GradedModule, seed: int = 0) -> tuple[list[np.ndarray], GradedModule]:
+    """(regular_sequence(m, seed), m modulo the images of its forms)."""
     n1 = m.n_plus_1
     rng = np.random.default_rng(seed)
     cur = m
@@ -466,6 +491,10 @@ def regular_sequence(m: GradedModule, seed: int = 0) -> list[np.ndarray]:
             v[0] = 1
             seq.append(v)
             continue
+        # l exact on N gives dim N_d = rank l|N_d + rank l|N_{d-1}, so the
+        # alternating sum of dims vanishes: otherwise no form is regular
+        if sum(-c if d % 2 else c for d, c in cur.dims.items()):
+            break
         found = None
         for _ in range(REGULAR_SEARCH_TRIALS):
             v = rng.integers(0, m.p, n1, dtype=np.int64)
@@ -478,13 +507,27 @@ def regular_sequence(m: GradedModule, seed: int = 0) -> list[np.ndarray]:
             break
         seq.append(found)
         cur = quotient_by_form_image(cur, found)
-    return seq
+    return seq, cur
+
+
+def regular_sequence(m: GradedModule, seed: int = 0) -> list[np.ndarray]:
+    """A maximal regular sequence of linear forms, found greedily (seeded).
+
+    At each step the search samples linear forms and keeps the first one
+    acting exactly on the current quotient; a quotient whose dimensions
+    have a nonzero alternating sum has none and is not sampled.  Over a
+    large field a generic form is regular whenever any form is, so the
+    greedy length is the maximal one with overwhelming probability; the
+    complexity of m is n_plus_1 minus that length.
+    """
+    return _regular_steps(m, seed)[0]
 
 
 def complexity(m: GradedModule, depth: int = DEFAULT_DEPTH, seed: int = 0) -> ComplexityEstimate:
-    """Complexity by both routes: regular_sequence and betti_complexity."""
-    seq = regular_sequence(m, seed)
-    table = minimal_resolution(m, depth)
+    """Complexity by both routes, regular_sequence and betti_complexity,
+    from one search: the resolution drops the same forms."""
+    seq, quot = _regular_steps(m, seed)
+    table = _reduced_table(m, depth, seq, quot)
     return ComplexityEstimate(
         cx_regseq=m.n_plus_1 - len(seq),
         cx_betti=betti_complexity(table, m.n_plus_1),

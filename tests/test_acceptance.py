@@ -51,6 +51,9 @@ REPORT_SHA256 = {
     ("tensor", 4): "9e277add0628885d42d7f8063032f3b61510e1e8fe5da847f2787da0721095b9",
     ("relative", 4): "4ed53ab268a5c662cf0a4aa9573443180dcad39739e62875075ab9d48ecb8b65",
     ("selfext", 4): "35e3c5d2553f33f76a4405ad1c6ed64d66d758b4cddc37bc32a59977ffd778fc",
+    # n=5, recorded once the resolution dropped regular sequences; every
+    # check's expected value is the suite's closed form
+    ("examples", 5): "8cc66435251392e5cbcfce0d45c49621c42e97a653a1712007b882eba937c00c",
 }
 
 
@@ -185,6 +188,12 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
 @pytest.mark.parametrize("name", [name for name, n in REPORT_SHA256 if n == 4])
 def test_verify_report_pinned_at_n4(name):
     total, bad = _suites_pass((name, 4))
+    assert total and not bad, [c.check_id for c in bad]
+
+
+def test_examples_suite_at_n5():
+    # depth 12; R modulo all six coordinate forms is k, of complexity six
+    total, bad = _suites_pass(("examples", 5))
     assert total and not bad, [c.check_id for c in bad]
 
 

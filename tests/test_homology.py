@@ -192,6 +192,43 @@ def test_syzygy_and_cartan_routes_agree(twist):
         assert homology.minimal_resolution(m, depth).rows == want, name
 
 
+def cx_one_fixtures():
+    """(name, module, depth): complexity-one modules, which drop to one variable."""
+    out = [(f"point n1={n1}", point_module(n1), 8) for n1 in (2, 3, 4)]
+    out += [(f"pd n={n} d={d}", cons.filtration_projective(n, d, P), 6) for n in (2, 3) for d in (1, 2, 3)]
+    out += [(f"ar middle n={n}", cons.ar_sequence_middle(n, P).middle, 6) for n in (1, 2, 3)]
+    out += [(f"kronecker i={i}", cons.kronecker_family(i, 1, P), 6) for i in (-2, -1, 1, 2)]
+    out += [(f"point n1={n1} p=5", cons.point_module(n1, [1] + [0] * (n1 - 1), 5), 7) for n1 in (2, 3, 4)]
+    out += [(f"pd n={n} d=2 p=5", cons.filtration_projective(n, 2, 5), 7) for n in (2, 3)]
+    out.append(("ar middle n=2 p=5", cons.ar_sequence_middle(2, 5).middle, 7))
+    out.append(("kronecker i=2 p=5", cons.kronecker_family(2, 1, 5), 7))
+    return out
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+def test_reduced_resolution_matches_the_unreduced_routes(twist):
+    # change of rings: dropping a certified regular sequence keeps every row
+    fixtures = route_fixtures() + cx_one_fixtures()
+    for k, (name, m, depth) in enumerate(fixtures):
+        if twist:
+            m = twisted(m, k)
+        want = homology._route_rows(m, depth)
+        assert homology.minimal_resolution(m, depth).rows == want, name
+
+
+def test_reduced_resolution_of_free_and_cx_one_modules(monkeypatch):
+    calls = []
+    real = homology._route_rows
+    monkeypatch.setattr(homology, "_route_rows", lambda m, d: calls.append(m.n_plus_1) or real(m, d))
+    free = twisted(gmod.free_module(3, P, [0, 1, 1]), 0)
+    assert homology.minimal_resolution(free, 3).rows == [[0, 1, 1], [], [], []]
+    assert calls == []
+    # a complexity-one module resolves over one variable
+    table = homology.minimal_resolution(twisted(cons.filtration_projective(3, 3, P), 1), 4)
+    assert calls == [1]
+    assert table.betti_numbers == [10] * 5
+
+
 def test_resolution_route_follows_elimination_size(monkeypatch):
     simple = twisted(gmod.simple_module(4, P), 0)
     pd = twisted(cons.filtration_projective(3, 3, P), 1)
@@ -205,13 +242,13 @@ def test_resolution_route_follows_elimination_size(monkeypatch):
     monkeypatch.setattr(homology, "syzygy_step", counting)
     # maximal complexity: the syzygies grow, and the Cartan complex of a
     # simple module has no differential at all
-    table = homology.minimal_resolution(simple, 8)
+    table = homology.BettiTable(8, homology._route_rows(simple, 8))
     assert len(calls) <= 1
     assert table.betti_numbers == [comb(3 + i, i) for i in range(9)]
     # complexity one: the syzygies stay small, so the resolution never
     # leaves the syzygy route
     calls.clear()
-    table = homology.minimal_resolution(pd, 4)
+    table = homology.BettiTable(4, homology._route_rows(pd, 4))
     assert len(calls) == 4
     assert table.betti_numbers == [10] * 5
 
@@ -385,6 +422,43 @@ def test_no_regular_elements_on_loewy_two_quotient():
         if not v.any():
             continue
         assert not homology.regular_element_test(m, v)
+
+
+@pytest.fixture
+def regular_tests(monkeypatch):
+    """The module of every regular_element_test call."""
+    seen = []
+    real = homology.regular_element_test
+    monkeypatch.setattr(homology, "regular_element_test", lambda m, v: seen.append(m) or real(m, v))
+    return seen
+
+
+def test_regular_search_skips_modules_of_nonzero_euler_characteristic(regular_tests):
+    # sum_d (-1)^d dim M_d = 0 whenever a form acts exactly, so these
+    # modules are not sampled at all
+    for m in (gmod.simple_module(3, P), loewy_two_free_quotient(3), loewy_two_free_quotient(4)):
+        assert homology.regular_sequence(m) == []
+    assert regular_tests == []
+    # the point module still yields n forms; its last quotient is k
+    seq = homology.regular_sequence(point_module(4))
+    assert len(seq) == 3
+    assert {m.total_dim for m in regular_tests} == {8, 4, 2}
+
+
+def test_complexity_searches_once(regular_tests, monkeypatch):
+    m = twisted(cons.filtration_projective(2, 3, P), 2)
+    seq = homology.regular_sequence(m, seed=4)
+    one_search = len(regular_tests)
+    assert one_search and len(seq) == 2
+    steps = []
+    real = homology._regular_steps
+    monkeypatch.setattr(homology, "_regular_steps", lambda m, seed=0: steps.append(seed) or real(m, seed))
+    regular_tests.clear()
+    est = homology.complexity(m, depth=6, seed=4)
+    assert steps == [4]
+    assert len(regular_tests) == one_search
+    assert (est.cx_regseq, est.cx_betti) == (1, 1)
+    assert [v.tolist() for v in est.regular_sequence] == [v.tolist() for v in seq]
 
 
 def test_zero_form_rejected():
