@@ -38,14 +38,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(text: str, path: str = "-") -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _load_module(path: str, p: int) -> gmod.GradedModule:
     m = modfile.parse(_read_text(path))
     if m.p != p:
@@ -53,10 +45,6 @@ def _load_module(path: str, p: int) -> gmod.GradedModule:
             f"module modulus {m.p} does not match the session prime {p}"
         )
     return m
-
-
-def _load_pair(a: str, b: str, p: int):
-    return _load_module(a, p), _load_module(b, p)
 
 
 def _parse_form(text: str, n_plus_1: int) -> np.ndarray:
@@ -84,7 +72,7 @@ def cmd_betti(args, p) -> int:
     m = _load_module(args.file, p)
     table = homology.minimal_resolution(m, args.depth)
     if args.json:
-        _write_text(modfile.canonical_json({"p": p, **table.to_json_dict()}))
+        sys.stdout.write(modfile.canonical_json({"p": p, **table.to_json_dict()}))
     else:
         print(table.to_text())
     return 0
@@ -94,11 +82,11 @@ def cmd_complexity(args, p) -> int:
     m = _load_module(args.file, p)
     est = homology.complexity(m, depth=args.depth, seed=args.seed)
     if args.json:
-        _write_text(modfile.canonical_json({"p": p, **est.to_json_dict()}))
+        sys.stdout.write(modfile.canonical_json({"p": p, **est.to_json_dict()}))
     else:
         cxb = est.cx_betti if est.cx_betti is not None else "UNKNOWN"
-        print(f"cx_regseq={est.cx_regseq} cx_betti={cxb} depth={est.depth_used} p={p}")
-        print(f"betti: {' '.join(str(b) for b in est.betti_numbers)}")
+        print(f"cx_regseq={est.cx_regseq} cx_betti={cxb} depth={est.table.depth} p={p}")
+        print(f"betti: {' '.join(str(b) for b in est.table.betti_numbers)}")
     return 0
 
 
@@ -121,7 +109,7 @@ def cmd_shift(args, p) -> int:
 
 
 def cmd_hom(args, p) -> int:
-    a, b = _load_pair(args.a, args.b, p)
+    a, b = _load_module(args.a, p), _load_module(args.b, p)
     hs = homalg.hom_basis(a, b)
     if args.json:
         payload = {
@@ -133,20 +121,20 @@ def cmd_hom(args, p) -> int:
                 {str(d): f.block(d).tolist() for d in sorted(f.blocks)} for f in hs.basis
             ],
         }
-        _write_text(modfile.canonical_json(payload))
+        sys.stdout.write(modfile.canonical_json(payload))
     else:
         print(f"dim={hs.dim} ptriv={hs.ptriv.dim} stable={hs.stable_dim}")
     return 0
 
 
 def cmd_stablehom(args, p) -> int:
-    a, b = _load_pair(args.a, args.b, p)
+    a, b = _load_module(args.a, p), _load_module(args.b, p)
     print(homalg.stable_hom_dim(a, b))
     return 0
 
 
 def cmd_ext(args, p) -> int:
-    a, b = _load_pair(args.a, args.b, p)
+    a, b = _load_module(args.a, p), _load_module(args.b, p)
     print(homalg.ext_dim(a, b, args.k))
     return 0
 
@@ -155,7 +143,7 @@ def cmd_end(args, p) -> int:
     m = _load_module(args.file, p)
     alg = homalg.end_algebra(m)
     if args.json:
-        _write_text(modfile.canonical_json(alg.to_json_dict()))
+        sys.stdout.write(modfile.canonical_json(alg.to_json_dict()))
     else:
         rad_dims = [s.dim for s in alg.rad_filtration]
         print(
@@ -166,7 +154,7 @@ def cmd_end(args, p) -> int:
 
 
 def cmd_tensor(args, p) -> int:
-    a, b = _load_pair(args.a, args.b, p)
+    a, b = _load_module(args.a, p), _load_module(args.b, p)
     _emit_module(cons.tensor(a, b))
     return 0
 
@@ -209,7 +197,7 @@ def cmd_filter(args, p) -> int:
         "factors": [{"form": list(xi), "shift": j} for xi, j in layers],
     }
     if args.json:
-        _write_text(modfile.canonical_json(payload))
+        sys.stdout.write(modfile.canonical_json(payload))
     else:
         for xi, j in layers:
             print(f"point class {list(xi)} shift {j:+d}")
@@ -220,7 +208,7 @@ def cmd_verify(args, p) -> int:
     checks = verify.run_suite(args.suite, n=args.n, seed=args.seed, p=p)
     data = verify.report_dict(args.suite, checks, args.n, args.seed, p)
     if args.json:
-        _write_text(modfile.canonical_json(data))
+        sys.stdout.write(modfile.canonical_json(data))
     else:
         print(verify.report_text(args.suite, checks, args.n, args.seed, p))
     return 0 if data["verdict"] == "PASS" else 1

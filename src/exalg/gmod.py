@@ -13,12 +13,14 @@ Degree-zero homomorphisms are per-degree blocks commuting with every
 action matrix.  The Hom solver works from a presentation: a map is fixed by
 the images of the source's top generators, and those images are cut down
 one degree at a time to the ones that respect the relations among the
-generators' monomial multiples, so every elimination stays at per-degree
-size.
+generators' monomial multiples.  One elimination per degree yields both
+the generators in that degree and the relations landing there, so every
+elimination stays at per-degree size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
 
@@ -604,44 +606,44 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
 
     A map is fixed by the images u_g in b_(deg g) of a's top generators g,
     and such images extend to a map exactly when every relation among the
-    words g·x_S holds among the u_g·x_S.  Starting from all candidate
-    images, each degree e where b_e != 0 cuts them to those respecting the
-    relations landing in e (all words there when a_e = 0).  One elimination
-    of [A^T | I], for A the words in degree e, gives the pivot words, the
-    relations (each non-pivot word in terms of the pivot words) and U with
-    U·A[piv]^T = I, so the map's block in degree e is U^T times the images
-    of the pivot words.
+    words g·x_S holds among the u_g·x_S.  One elimination per degree e,
+    ascending, finds both.  In RREF [R | T] of [A | I], A the words of the
+    lower generators that land in e, R's nonzero rows are RREF(a_e·J): its
+    non-pivot slots are the generators in degree e, top_generators' choice.
+    The rows where R is zero are the relations.  Each has a 1 at its own
+    word, which no other row touches, so it fixes that word's image from the
+    images of the other words (r of them, r = dim a_e·J).  Row k < r, with
+    pivot c, gives e_c = T_k·(words) - sum_t R[k, t]·(generator t), so the
+    map's block in degree e is a square matrix times the images of those r
+    words and the degree-e generators.  The candidate images start free and
+    each degree cuts them to the ones respecting its relations (every
+    word's image must vanish where a_e = 0); the blocks are read at the end.
     """
     _check_compatible(a, b)
     p, n1 = a.p, a.n_plus_1
     ambient = hom_space_dim_layout(a, b)
-    gens: dict[int, list[np.ndarray]] = {}
-    for d, v in top_generators(a):
-        gens.setdefault(d, []).append(v)
-    tops = {d: np.array(vs) for d, vs in gens.items()}
-    # the unknowns: one vector of b_(deg g) per generator g, degrees ascending
-    offsets, nparams = {}, 0
-    for d, t in tops.items():
-        offsets[d] = nparams
-        nparams += t.shape[0] * b.dim(d)
-    if not nparams:
-        return zero_subspace(ambient, p)
-    words = {d: monomial_rows(a, d, t) for d, t in tops.items()}
-    units = {d: monomial_rows(b, d, linalg.identity(b.dim(d))) for d in tops if b.dim(d)}
+    if not ambient:
+        return zero_subspace(0, p)
+    words: dict[int, list[np.ndarray]] = {}  # generator degree -> monomial_rows of its generators
+    units: dict[int, list[np.ndarray]] = {}  # the same for b's basis where b is nonzero
+    # the candidates: one vector of b_(deg g) per generator g found so far, degrees ascending
+    u = zeros(0, 0)
+    reads = []  # (e, word positions, the matrix taking their images to the block)
 
-    def images(e: int, u: np.ndarray) -> np.ndarray:
+    def images(e: int) -> np.ndarray:
         # (candidates, words, b_e): each candidate's images of the words in degree e
-        parts = []
-        for d, t in tops.items():
-            j = e - d
-            if 0 <= j <= n1:
-                count = t.shape[0] * comb(n1, j)
-                if d in units:
-                    ud = u[:, offsets[d] : offsets[d] + t.shape[0] * b.dim(d)].reshape(-1, b.dim(d))
-                    img = matmul_mod(ud, units[d][j].reshape(b.dim(d), -1), p)
+        parts, ofs = [np.zeros((len(u), 0, b.dim(e)), dtype=np.int64)], 0
+        for d, w in words.items():
+            g, bd = len(w[0]), b.dim(d)
+            if 0 <= e - d <= n1:
+                count = g * comb(n1, e - d)
+                if bd:
+                    ud = u[:, ofs : ofs + g * bd].reshape(-1, bd)
+                    img = matmul_mod(ud, units[d][e - d].reshape(bd, -1), p)
                 else:
                     img = zeros(len(u) * count, b.dim(e))
                 parts.append(img.reshape(len(u), count, b.dim(e)))
+            ofs += g * bd
         return np.concatenate(parts, axis=1)
 
     def along_words(mat: np.ndarray, imgs: np.ndarray) -> np.ndarray:
@@ -650,34 +652,42 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
         out = matmul_mod(mat, imgs.transpose(1, 0, 2).reshape(w, t * c), p)
         return out.reshape(len(mat), t, c).transpose(1, 0, 2)
 
-    u = linalg.identity(nparams)
-    solved = {}  # degree -> (pivot words, U^T) where a_e != 0
-    for e in sorted(b.dims):
-        if not any(0 <= e - d <= n1 for d in units):
-            continue  # every word's image is zero
-        if a.dim(e):
-            amat = np.vstack([words[d][e - d] for d in tops if 0 <= e - d <= n1])
-            nw = amat.shape[0]
-            _, red, piv = rref(np.hstack([amat.T, linalg.identity(a.dim(e))]), p)
-            solved[e] = piv, red[:, nw:].T
-            if nw == len(piv):
-                continue  # no relations land here
-            free = np.delete(np.arange(nw), piv)
-            imgs = images(e, u)
-            cons = (imgs[:, free] - along_words(red[:, free].T, imgs[:, piv])) % p
+    for e in sorted(d for d in set(a.dims) | set(b.dims) if d <= b.max_deg):
+        ae, be = a.dim(e), b.dim(e)
+        if ae:
+            low = [w[e - d] for d, w in words.items() if e - d <= n1]
+            nw = sum(len(x) for x in low)
+            amat = np.vstack(low) if low else zeros(0, ae)
+            _, red, piv = rref(np.hstack([amat, linalg.identity(nw)]), p)
+            r = bisect_left(piv, ae)  # rows r.. have zero A part
+            gens = np.delete(np.arange(ae), piv[:r])
+            own = [c - ae for c in piv[r:]]  # each relation's own word
+            rest = np.delete(np.arange(nw), own)
+            if gens.size:
+                words[e] = monomial_rows(a, e, linalg.identity(ae)[gens])
+        if not be:
+            continue
+        if ae:
+            if gens.size:
+                units[e] = monomial_rows(b, e, linalg.identity(be))
+                k = gens.size * be
+                u = np.block([[u, zeros(len(u), k)], [zeros(k, u.shape[1]), linalg.identity(k)]])
+            expr = zeros(ae, ae)
+            expr[piv[:r], :r] = red[:r, ae + rest]
+            expr[piv[:r], r:] = -red[:r, gens] % p
+            expr[gens, r + np.arange(gens.size)] = 1
+            reads.append((e, np.concatenate([rest, nw + np.arange(gens.size)]), expr))
+            if not own:
+                continue  # no relation lands in e
+            imgs = images(e)
+            cons = (imgs[:, own] + along_words(red[r:, ae + rest], imgs[:, rest])) % p
         else:
-            cons = images(e, u)
+            cons = images(e)  # every word is a relation where a_e = 0
         if cons.any():
             u = matmul_mod(left_kernel_basis(cons.reshape(len(u), -1), p).basis, u, p)
-            if not len(u):
-                return zero_subspace(ambient, p)
-    flat = []
-    for e in _blocks_layout(a, b):
-        if e in solved:
-            piv, ut = solved[e]
-            flat.append(along_words(ut, images(e, u)[:, piv]).reshape(len(u), -1))
-        else:
-            flat.append(zeros(len(u), a.dim(e) * b.dim(e)))
+    if not len(u):
+        return zero_subspace(ambient, p)
+    flat = [along_words(expr, images(e)[:, cols]).reshape(len(u), -1) for e, cols, expr in reads]
     return subspace_from_rows(np.hstack(flat), ambient, p)
 
 

@@ -87,18 +87,14 @@ def _coords(space: Subspace, maps: list[ModuleMap]) -> np.ndarray:
     return coords
 
 
-def factor_through_projectives(
-    m: GradedModule, n: GradedModule, space: Subspace | None = None
-) -> Subspace:
+def factor_through_projectives(m: GradedModule, n: GradedModule, space: Subspace) -> Subspace:
     """Maps m -> n factoring through a projective, in Hom-basis coordinates.
 
-    space is gmod.hom_space(m, n), computed when not given.  The subspace
-    is { g∘ι : g ∈ Hom(I(m), n) } for ι the minimal injective envelope of
-    the source; every projective factorization extends over ι by
-    injectivity, so this is the whole subspace.
+    space is gmod.hom_space(m, n).  The subspace is { g∘ι : g ∈ Hom(I(m), n) }
+    for ι the minimal injective envelope of the source; every projective
+    factorization extends over ι by injectivity, so this is the whole
+    subspace.
     """
-    if space is None:
-        space = gmod.hom_space(m, n)
     if not space.dim:
         return zero_subspace(0, m.p)
     env, mono = homology.injective_envelope(m)

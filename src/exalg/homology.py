@@ -446,9 +446,8 @@ class ComplexityEstimate:
 
     cx_regseq: int
     cx_betti: int | None  # None means the Betti window did not settle
-    depth_used: int
+    table: BettiTable  # the resolution the Betti route read
     regular_sequence: list[np.ndarray] = field(default_factory=list)
-    betti_numbers: list[int] = field(default_factory=list)
 
     @property
     def agree(self) -> bool:
@@ -458,9 +457,9 @@ class ComplexityEstimate:
         return {
             "cx_regseq": self.cx_regseq,
             "cx_betti": self.cx_betti if self.cx_betti is not None else "UNKNOWN",
-            "depth_used": self.depth_used,
+            "depth_used": self.table.depth,
             "regular_sequence": [[int(x) for x in v] for v in self.regular_sequence],
-            "betti": self.betti_numbers,
+            "betti": self.table.betti_numbers,
         }
 
 
@@ -531,9 +530,8 @@ def complexity(m: GradedModule, depth: int = DEFAULT_DEPTH, seed: int = 0) -> Co
     return ComplexityEstimate(
         cx_regseq=m.n_plus_1 - len(seq),
         cx_betti=betti_complexity(table, m.n_plus_1),
-        depth_used=depth,
+        table=table,
         regular_sequence=seq,
-        betti_numbers=table.betti_numbers,
     )
 
 

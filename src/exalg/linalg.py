@@ -140,8 +140,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
     k = a.shape[1]
-    if k == 0:
-        return zeros(a.shape[0], b.shape[1])
     if a.size == 0 or b.size == 0:
         return zeros(a.shape[0], b.shape[1])
     safe = _exact_terms(p)

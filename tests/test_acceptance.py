@@ -202,5 +202,5 @@ def test_examples_depth_settles_maximal_complexity_at_n4():
     # five coordinate forms is k, of complexity five, and needs depth 10 at n=4
     depth = verify._depth_for(4)
     mu = cons.span_quotient(5, np.eye(5, dtype=np.int64), P)
-    table = homology.minimal_resolution(mu, depth)
-    assert verify._cx_pair(mu, table, 0) == (5, 5)
+    est = homology.complexity(mu, depth, 0)
+    assert (est.cx_regseq, est.cx_betti) == (5, 5)

@@ -294,6 +294,18 @@ def hom_space_dense(a, b):
     return [gmod.map_from_flat(a, b, v) for v in ker.basis]
 
 
+def change_basis(m, d, g):
+    """m with its degree-d basis moved by the invertible matrix g: an
+    isomorphic module whose radical need not be a coordinate subspace."""
+    k = m.dim(d)
+    ginv = la.rref(np.hstack([g, la.identity(k)]), P)[1][:, k:]
+    actions = [dict(acts) for acts in m.actions]
+    for i, acts in enumerate(actions):
+        acts[d - 1] = la.matmul_mod(m.action(i, d - 1), g, P)
+        acts[d] = la.matmul_mod(ginv, m.action(i, d), P)
+    return gmod.GradedModule(m.n_plus_1, P, m.dims, actions)
+
+
 def hom_fixture_pairs():
     m = example_module_two_layer()
     r3 = gmod.free_module(3, P, [0])
@@ -321,6 +333,10 @@ def hom_fixture_pairs():
     # a generator in degree 2 of the source, where the target is zero
     free02 = gmod.free_module(3, P, [0, 2])
     pairs += [(free02, t3), (free02, gmod.direct_sum(t3, gmod.shift(t3, -3))[0])]
+    # a generator in degree 1 beside a radical off the coordinate axes
+    free01 = gmod.free_module(2, P, [0, 1])
+    moved = change_basis(free01, 1, np.array([[1, 2, 3], [0, 1, 4], [5, 0, 1]]))
+    pairs += [(moved, free01), (free01, moved), (moved, moved)]
     return pairs
 
 
@@ -335,6 +351,19 @@ def test_hom_space_matches_dense_reference():
                 assert np.array_equal(f.block(d), s.block(d))
         for f in fast:
             assert f.commutes()
+
+
+def test_hom_space_finds_the_generators_in_its_own_eliminations(monkeypatch):
+    pairs = hom_fixture_pairs()
+
+    def forbidden(m):
+        raise AssertionError("hom_space asked top_generators")
+
+    monkeypatch.setattr(gmod, "top_generators", forbidden)
+    for a, b in pairs:
+        got = gmod.hom_space(a, b)
+        want = [gmod.flatten_map(f) for f in hom_space_dense(a, b)]
+        assert np.array_equal(got.basis, np.array(want, dtype=np.int64).reshape(len(want), got.ambient))
 
 
 def test_hom_of_free_rank_one_is_scalar():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exalg import constructions as cons
-from exalg import gmod, homalg, homology
+from exalg import gmod, homalg, homology, modfile, verify
 from exalg import linalg as la
 from exalg.gmod import GradedModule
 from exalg.homalg import _coords
@@ -459,3 +459,16 @@ def test_ext1_square_zero_matches_yoneda_oracle():
         for e in fixtures:
             vbar, ebar = gmod.square_truncate(v), gmod.square_truncate(e)
             assert homalg.ext1_square_zero(vbar, ebar) == yoneda_ext1_square_zero(vbar, ebar)
+
+
+def test_cor22_computes_each_ext_dimension_once(monkeypatch):
+    # eight shifts, k = 1 and 2: the locus reads the checks' own values
+    asked = []
+    real = homalg.ext_dim
+    monkeypatch.setattr(
+        homalg, "ext_dim", lambda m, n, k=1: asked.append((modfile.serialize(n), k)) or real(m, n, k)
+    )
+    checks = verify.run_suite("cor2.2", n=3)
+    assert all(c.verdict == "PASS" for c in checks)
+    assert len(asked) == 16
+    assert len(set(asked)) == len(asked)

@@ -508,7 +508,7 @@ def test_complexity_combines_the_two_routes():
         assert est.cx_regseq == m.n_plus_1 - len(seq)
         assert [v.tolist() for v in est.regular_sequence] == [v.tolist() for v in seq]
         assert est.cx_betti == homology.betti_complexity(table, m.n_plus_1)
-        assert est.betti_numbers == table.betti_numbers
+        assert est.table.betti_numbers == table.betti_numbers
         assert table.is_linear() == homology.is_linear(m, depth)
 
 
@@ -577,11 +577,18 @@ def test_regular_sequence_callers_build_no_resolution(resolutions):
     assert resolutions == []
 
 
-def test_examples_suite_resolves_each_module_once(resolutions):
-    checks = verify.run_suite("examples", n=2)
+def test_examples_suite_searches_each_module_once(monkeypatch):
+    # one complexity call per module: its resolution drops the forms its
+    # own search found, so nothing searches a module a second time
+    searched = []
+    real = homology._regular_steps
+    monkeypatch.setattr(
+        homology, "_regular_steps", lambda m, seed=0: searched.append(modfile.serialize(m)) or real(m, seed)
+    )
+    checks = verify.run_suite("examples", n=3)
     assert all(c.verdict == "PASS" for c in checks)
-    assert resolutions
-    assert len(set(resolutions)) == len(resolutions)
+    assert len(searched) == 7
+    assert len(set(searched)) == len(searched)
 
 
 def test_ar_translate_point_module():
