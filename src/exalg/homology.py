@@ -7,22 +7,20 @@ Everything is exact.  Projective covers choose generators lifting the
 standard complement of the radical, so resolutions are minimal by
 construction and syzygies never acquire free summands.
 
-Betti tables have a second route that builds no syzygy: Tor^E_i(M, k)
-is the homology of the Cartan complex M ⊗ Gamma_i(V), whose basis is
-the divided-power monomials y^(a) with |a| = i and whose differential
-sends v ⊗ y^(a) to sum_l v·x_l ⊗ y^(a - e_l).  Every coefficient is 1,
-so E ⊗ Gamma(V) resolves k in every characteristic; with symmetric
-powers the coefficients a_l vanish mod p once an exponent reaches p.
-minimal_resolution picks the route by elimination sizes, after a change of
-rings: a regular sequence of linear forms is dropped, so M is resolved as
-M/UM over the exterior algebra on V/U, U the forms' span.
+Betti tables build no syzygy: Tor^E_i(M, k) is the homology of the
+Cartan complex M ⊗ Gamma_i(V), whose basis is the divided-power monomials
+y^(a) with |a| = i and whose differential sends v ⊗ y^(a) to
+sum_l v·x_l ⊗ y^(a - e_l).  Every coefficient is 1, so E ⊗ Gamma(V)
+resolves k in every characteristic; with symmetric powers the coefficients
+a_l vanish mod p once an exponent reaches p.  minimal_resolution first
+changes rings: a regular sequence of linear forms is dropped, so M is
+resolved as M/UM over the exterior algebra on V/U, U the forms' span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -201,38 +199,10 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _syzygy_route(m: GradedModule, depth: int):
-    """Rows 0..depth by iterated minimal covers, one row per next().
-
-    F^i's generators are the top of Omega^i.  Each row comes with the
-    elimination size spent so far: rows x cols of every radical and kernel
-    matrix reduced to reach it.  Omega^i is built only when row i is asked
-    for, so nothing beyond Omega^depth is built.
-    """
-    n1 = m.n_plus_1
-    cur, spent, gens = m, 0, []
-    for _ in range(depth + 1):
-        if gens:
-            syz, _, cover, _ = syzygy_step(cur, gens)
-            spent += sum(cover.dim(d) * cur.dim(d) for d in cur.degrees)
-            cur = syz
-        gens = gmod.top_generators(cur)
-        spent += sum(n1 * cur.dim(d - 1) * cur.dim(d) for d in cur.degrees)
-        yield [d for d, _ in gens], spent
-
-
 def _divided_powers(n_plus_1: int, i: int) -> list[tuple[int, ...]]:
     """Exponent vectors a with |a| = i: the basis y^(a) of Gamma_i."""
     monomials = combinations_with_replacement(range(n_plus_1), i)
     return [tuple(mon.count(x) for x in range(n_plus_1)) for mon in monomials]
-
-
-def _cartan_sizes(m: GradedModule, depth: int) -> list[int]:
-    """rows x cols of the Cartan differentials d_0 ... d_{depth+1}, summed
-    over internal degrees."""
-    n1 = m.n_plus_1
-    pairs = sum(m.dim(s) * m.dim(s + 1) for s in m.degrees)
-    return [0] + [comb(n1 - 1 + j, j) * comb(n1 - 2 + j, j - 1) * pairs for j in range(1, depth + 2)]
 
 
 def _cartan_differential(
@@ -254,51 +224,27 @@ def _cartan_differential(
     return out
 
 
-def _cartan_rows(m: GradedModule, lo: int, depth: int) -> list[list[int]]:
-    """Rows lo..depth as the homology of the Cartan complex M ⊗ Gamma.
+def _cartan_rows(m: GradedModule, depth: int) -> list[list[int]]:
+    """Rows 0..depth as the homology of the Cartan complex M ⊗ Gamma.
 
     beta_{i,t} = dim C_i(t) - rank d_i(t) - rank d_{i+1}(t) with
     C_i(t) = M_{t-i} ⊗ Gamma_i; each differential's rank is computed once.
     """
     p = m.p
-    gammas = {j: _divided_powers(m.n_plus_1, j) for j in range(max(lo - 1, 0), depth + 2)}
+    gammas = [_divided_powers(m.n_plus_1, j) for j in range(depth + 2)]
     rank: dict[tuple[int, int], int] = {}  # (j, s): rank of d_j on M_s ⊗ Gamma_j
-    for j in range(max(lo, 1), depth + 2):
+    for j in range(1, depth + 2):
         lower = {a: k for k, a in enumerate(gammas[j - 1])}
         for s in m.degrees:
             if m.dim(s + 1):
                 rank[j, s] = rref(_cartan_differential(m, s, gammas[j], lower), p)[0]
     rows = []
-    for i in range(lo, depth + 1):
+    for i in range(depth + 1):
         row: list[int] = []
         for s in m.degrees:
             beta = m.dim(s) * len(gammas[i]) - rank.get((i, s), 0) - rank.get((i + 1, s - 1), 0)
             row += [s + i] * beta
         rows.append(row)
-    return rows
-
-
-def _route_rows(m: GradedModule, depth: int) -> list[list[int]]:
-    """Rows 0..depth by two routes.  The syzygy route reads row i off the
-    top of Omega^i.  The Cartan route reads rows off Tor^E(M, k), the
-    homology of the complex M ⊗ Gamma(V) of divided powers, and builds no
-    syzygy.  A resolution starts on the syzygy route.  Before row i it
-    switches to the Cartan route for rows i..depth once the syzygy route's
-    elimination size so far reaches the Cartan route's size for those rows;
-    both count rows x cols of the matrices they reduce.  So a module whose
-    syzygies grow stops paying for them, and one whose syzygies stay small
-    never builds the Cartan complex, which grows with the divided powers.
-    """
-    # cartan[i]: the Cartan route's elimination size for rows i..depth
-    cartan = list(accumulate(reversed(_cartan_sizes(m, depth))))[::-1]
-    rows: list[list[int]] = []
-    spent = 0
-    steps = _syzygy_route(m, depth)
-    while len(rows) <= depth and spent < cartan[len(rows)]:
-        row, spent = next(steps)
-        rows.append(row)
-    if len(rows) <= depth:
-        rows += _cartan_rows(m, len(rows), depth)
     return rows
 
 
@@ -318,7 +264,7 @@ def _reduced_table(
         pivots = rref(np.array(forms).reshape(-1, m.n_plus_1), m.p)[2]
         keep = [c for c in range(m.n_plus_1) if c not in pivots]
         small = GradedModule(len(keep), m.p, quot.dims, [quot.actions[c] for c in keep])
-        rows = _route_rows(small, depth)
+        rows = _cartan_rows(small, depth)
     return BettiTable(depth, rows)
 
 
@@ -331,7 +277,10 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
     certified by the exact regular_element_test and any certified sequence
     gives the same rows; the seeded search only decides how many variables
     are saved.  A complexity-one module drops to one variable and a free
-    module to its generators; _route_rows resolves what is left.
+    module to its generators.  What is left has maximal complexity when the
+    search found a maximal sequence, so its syzygies grow like its Betti
+    numbers; _cartan_rows reads its rows off the Cartan complex and builds
+    none of them.
     """
     return _reduced_table(m, depth, *_regular_steps(m))
 

@@ -54,6 +54,10 @@ REPORT_SHA256 = {
     # n=5, recorded once the resolution dropped regular sequences; every
     # check's expected value is the suite's closed form
     ("examples", 5): "8cc66435251392e5cbcfce0d45c49621c42e97a653a1712007b882eba937c00c",
+    # n=6, recorded before the resolution read every table off the Cartan
+    # complex; every check PASSes
+    ("examples", 6): "d4f2de54d582f290535f568604d9772b225f857ada6f117452c7f028bbbbc0b6",
+    ("cor2.2", 6): "b9c3a718af1cb3c8e9d580747c78cb754281c0f4d0e0842a129b93f461b7c1ae",
 }
 
 
@@ -194,6 +198,12 @@ def test_verify_report_pinned_at_n4(name):
 def test_examples_suite_at_n5():
     # depth 12; R modulo all six coordinate forms is k, of complexity six
     total, bad = _suites_pass(("examples", 5))
+    assert total and not bad, [c.check_id for c in bad]
+
+
+@pytest.mark.parametrize("name", [name for name, n in REPORT_SHA256 if n == 6])
+def test_verify_report_pinned_at_n6(name):
+    total, bad = _suites_pass((name, 6))
     assert total and not bad, [c.check_id for c in bad]
 
 

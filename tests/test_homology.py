@@ -125,28 +125,22 @@ def test_minimal_resolution_of_point_module():
 
 def test_minimal_resolution_of_simple_matches_symmetric_powers():
     # independent oracle: the Koszul-dual count of degree-i monomials
-    n_plus_1 = 3
-    s = gmod.simple_module(n_plus_1, P, 0)
-    table = homology.minimal_resolution(s, 6)
-    assert table.betti_numbers == [comb(i + n_plus_1 - 1, n_plus_1 - 1) for i in range(7)]
-
-
-def test_resolution_builds_no_syzygy_beyond_its_depth(monkeypatch):
-    calls = []
-    real = homology.syzygy_step
-
-    def counting(m, gens=None):
-        calls.append(m.dims)
-        return real(m, gens)
-
-    monkeypatch.setattr(homology, "syzygy_step", counting)
-    rows = syzygy_rows(gmod.simple_module(3, P), 4)
-    assert len(calls) == 4  # Omega^1 .. Omega^4, nothing beyond
-    assert [len(r) for r in rows] == [comb(2 + i, i) for i in range(5)]
+    for s, depth in [(gmod.simple_module(3, P, 0), 6), (twisted(gmod.simple_module(4, P), 0), 8)]:
+        table = homology.minimal_resolution(s, depth)
+        n1 = s.n_plus_1
+        assert table.betti_numbers == [comb(i + n1 - 1, n1 - 1) for i in range(depth + 1)]
 
 
 def syzygy_rows(m, depth):
-    return [row for row, _ in homology._syzygy_route(m, depth)]
+    """Rows 0..depth off the tops of Omega^0 .. Omega^depth: the oracle that
+    cross-checks the Cartan rows."""
+    gens = gmod.top_generators(m)
+    rows = [[d for d, _ in gens]]
+    for _ in range(depth):
+        m = homology.syzygy_step(m, gens)[0]
+        gens = gmod.top_generators(m)
+        rows.append([d for d, _ in gens])
+    return rows
 
 
 def twisted(m, seed):
@@ -188,7 +182,7 @@ def test_syzygy_and_cartan_routes_agree(twist):
         if twist:
             m = twisted(m, k)
         want = syzygy_rows(m, depth)
-        assert homology._cartan_rows(m, 0, depth) == want, name
+        assert homology._cartan_rows(m, depth) == want, name
         assert homology.minimal_resolution(m, depth).rows == want, name
 
 
@@ -212,14 +206,15 @@ def test_reduced_resolution_matches_the_unreduced_routes(twist):
     for k, (name, m, depth) in enumerate(fixtures):
         if twist:
             m = twisted(m, k)
-        want = homology._route_rows(m, depth)
+        want = syzygy_rows(m, depth)
+        assert homology._cartan_rows(m, depth) == want, name
         assert homology.minimal_resolution(m, depth).rows == want, name
 
 
 def test_reduced_resolution_of_free_and_cx_one_modules(monkeypatch):
     calls = []
-    real = homology._route_rows
-    monkeypatch.setattr(homology, "_route_rows", lambda m, d: calls.append(m.n_plus_1) or real(m, d))
+    real = homology._cartan_rows
+    monkeypatch.setattr(homology, "_cartan_rows", lambda m, d: calls.append(m.n_plus_1) or real(m, d))
     free = twisted(gmod.free_module(3, P, [0, 1, 1]), 0)
     assert homology.minimal_resolution(free, 3).rows == [[0, 1, 1], [], [], []]
     assert calls == []
@@ -229,28 +224,22 @@ def test_reduced_resolution_of_free_and_cx_one_modules(monkeypatch):
     assert table.betti_numbers == [10] * 5
 
 
-def test_resolution_route_follows_elimination_size(monkeypatch):
-    simple = twisted(gmod.simple_module(4, P), 0)
-    pd = twisted(cons.filtration_projective(3, 3, P), 1)
-    calls = []
-    real = homology.syzygy_step
+def test_minimal_resolution_builds_no_syzygy(monkeypatch):
+    # E/J^2 over three variables at depth 12 has maximal complexity, so no
+    # form drops and the syzygies grow with the Betti numbers
+    loewy = ("loewy two n1=3 at depth 12", loewy_two_free_quotient(3), 12)
+    cases = []
+    for k, (name, m, depth) in enumerate(route_fixtures() + cx_one_fixtures() + [loewy]):
+        for mod in (m, twisted(m, k)):
+            cases.append((name, mod, depth, syzygy_rows(mod, depth)))
 
-    def counting(m, gens=None):
-        calls.append(m.dims)
-        return real(m, gens)
+    def refuse(*args):
+        raise AssertionError("minimal_resolution built a syzygy")
 
-    monkeypatch.setattr(homology, "syzygy_step", counting)
-    # maximal complexity: the syzygies grow, and the Cartan complex of a
-    # simple module has no differential at all
-    table = homology.BettiTable(8, homology._route_rows(simple, 8))
-    assert len(calls) <= 1
-    assert table.betti_numbers == [comb(3 + i, i) for i in range(9)]
-    # complexity one: the syzygies stay small, so the resolution never
-    # leaves the syzygy route
-    calls.clear()
-    table = homology.BettiTable(4, homology._route_rows(pd, 4))
-    assert len(calls) == 4
-    assert table.betti_numbers == [10] * 5
+    monkeypatch.setattr(homology, "syzygy_step", refuse)
+    monkeypatch.setattr(gmod, "top_generators", refuse)
+    for name, m, depth, want in cases:
+        assert homology.minimal_resolution(m, depth).rows == want, name
 
 
 def resolution_differentials(m, depth):
