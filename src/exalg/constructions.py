@@ -6,6 +6,10 @@ extensions, the filtration projectives built two independent ways, the
 almost-split middle term over a point module, the syzygy family of the
 simple module over two variables, and the refinement of a complexity-one
 module into point-module layers.
+
+The closed-form filtration projective is a word-raising matrix tensored
+with exterior.generator_matrices, E's one multiplication table; no sign
+is worked out here.
 """
 
 from __future__ import annotations
@@ -18,15 +22,7 @@ import numpy as np
 
 from . import exterior, gmod, homalg, homology
 from .gmod import GradedModule, ModuleMap
-from .linalg import (
-    full_subspace,
-    inv_mod,
-    kernel_basis,
-    left_kernel_basis,
-    matmul_mod,
-    rref,
-    zeros,
-)
+from .linalg import inv_mod, kernel_basis, left_kernel_basis, matmul_mod, rref, zeros
 
 
 class DependentForms(ValueError):
@@ -38,19 +34,15 @@ class NotComplexityOne(ValueError):
 
 
 def _completion_to_basis(forms: np.ndarray, p: int) -> np.ndarray:
-    """Extend independent rows to an invertible matrix, deterministically."""
+    """Extend independent rows to an invertible matrix, deterministically.
+
+    The pivot columns of RREF([forms^T | I]) past the forms pick, in order,
+    each unit vector outside the span of the forms and the units before it.
+    """
     k, n1 = forms.shape
-    rows = [f % p for f in forms]
-    mat = np.array(rows, dtype=np.int64).reshape(k, n1)
-    for e in range(n1):
-        if len(rows) == n1:
-            break
-        cand = np.zeros(n1, dtype=np.int64)
-        cand[e] = 1
-        test = np.vstack([np.array(rows), cand.reshape(1, -1)])
-        if rref(test, p)[0] == len(rows) + 1:
-            rows.append(cand)
-    return np.array(rows, dtype=np.int64)
+    eye = np.eye(n1, dtype=np.int64)
+    pivots = rref(np.hstack([forms.T % p, eye]), p)[2]
+    return np.vstack([forms % p, eye[[c - k for c in pivots[k:]]]])
 
 
 def _coordinate_span_quotient(n_plus_1: int, p: int, k: int) -> GradedModule:
@@ -99,16 +91,6 @@ def point_module(n_plus_1: int, form, p: int) -> GradedModule:
     if not f.any():
         raise ValueError("point modules need a nonzero form")
     return span_quotient(n_plus_1, f.reshape(1, -1), p)
-
-
-def zero_action_forms(m: GradedModule) -> np.ndarray:
-    """RREF basis of the linear forms acting by zero on the whole module."""
-    p = m.p
-    cols = []
-    for i in range(m.n_plus_1):
-        cols.append(np.concatenate([m.action(i, d).ravel() for d in m.degrees]) if m.dims else zeros(1, 0)[0])
-    mat = np.stack(cols) if cols else zeros(0, 0)
-    return kernel_basis(mat.T, p).basis if mat.size else kernel_basis(zeros(0, m.n_plus_1), p).basis
 
 
 def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
@@ -187,7 +169,8 @@ class Extension:
 
 def ext_class_basis(x: GradedModule, m: GradedModule) -> list[ExtClass]:
     """Canonical basis of first-extension classes of x by m."""
-    syz, incl, cover, epi, reps = homalg.ext_cocycles(x, m)
+    syz, incl, cover, epi = homology.syzygy_step(x)
+    reps = homalg.hom_basis(syz, m).stable_class_reps()
     return [ExtClass(x, m, syz, incl, cover, epi, r) for r in reps]
 
 
@@ -256,63 +239,39 @@ def filtration_projective(n: int, d: int, p: int) -> GradedModule:
     return cur
 
 
-def _multisets(n: int, size: int) -> list[tuple[int, ...]]:
-    return list(combinations_with_replacement(range(1, n + 1), size))
+def _words(n: int, d: int) -> list[tuple[int, ...]]:
+    """Multisets of at most d-1 letters from {1..n}, shortest first."""
+    return [w for s in range(d) for w in combinations_with_replacement(range(1, n + 1), s)]
 
 
 def filtration_projective_explicit(n: int, d: int, p: int) -> GradedModule:
     """The same module from its closed-form presentation.
 
-    Basis: e_w ⊗ a with w a multiset of at most d-1 letters from {1..n}
-    and a an exterior monomial in x_1..x_n.  Letters act by signed wedge
-    on a; x_0 sends e_w ⊗ a to (-1)^|a| Σ_r e_{w+r} ⊗ (x_r ∧ a) and kills
-    the deepest layer |w| = d-1.
+    Basis: e_w ⊗ a, word-major, with w a multiset of at most d-1 letters
+    from {1..n} and a an exterior monomial in x_1..x_n.  With G_r =
+    exterior.generator_matrices(n, p)[r-1], right multiplication by x_r on
+    those monomials (letters relabelled 1..n), x_r acts by I ⊗ G_r.
+    x_0 sends e_w ⊗ a to (-1)^|a| Σ_r e_{w+r} ⊗ (x_r ∧ a) = Σ_r e_{w+r} ⊗
+    (a ∧ x_r), so it acts by Σ_r L_r ⊗ G_r, where L_r raises e_w to e_{w+r}
+    and kills the deepest layer |w| = d-1.
     """
     if d < 1:
         raise ValueError("the filtration projective needs d >= 1")
-    n_plus_1 = n + 1
-    words: list[tuple[int, ...]] = []
-    for s in range(d):
-        words.extend(_multisets(n, s))
-    word_index = {w: k for k, w in enumerate(words)}
-    mons = [exterior.basis_of_degree(n, j) for j in range(n + 1)]
-    # relabel monomials into letters 1..n
-    mons = [[tuple(t + 1 for t in mon) for mon in row] for row in mons]
-    mon_index = [{mon: k for k, mon in enumerate(row)} for row in mons]
-    dims = {j: len(words) * len(mons[j]) for j in range(n + 1) if mons[j]}
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
+    words = _words(n, d)
+    index = {w: k for k, w in enumerate(words)}
+    raise_by = [zeros(len(words), len(words)) for _ in range(n)]
+    for k, w in enumerate(words):
+        if len(w) < d - 1:
+            for r in range(1, n + 1):
+                raise_by[r - 1][k, index[tuple(sorted(w + (r,)))]] = 1
+    table = exterior.generator_matrices(n, p)
+    eye = np.eye(len(words), dtype=np.int64)
+    actions: list[dict[int, np.ndarray]] = [{} for _ in range(n + 1)]
     for j in range(n):
-        rows, cols = dims.get(j, 0), dims.get(j + 1, 0)
-        if not rows or not cols:
-            continue
-        width = len(mons[j])
-        width1 = len(mons[j + 1])
-        for r in range(1, n + 1):
-            mat = actions[r].setdefault(j, zeros(rows, cols))
-            for wk in range(len(words)):
-                for a_idx, a in enumerate(mons[j]):
-                    w = exterior.wedge(a, (r,))
-                    if w is None:
-                        continue
-                    sign, prod = w
-                    mat[wk * width + a_idx, wk * width1 + mon_index[j + 1][prod]] = sign % p
-        # x_0: raise the word layer, acting on the monomial by left wedge
-        mat0 = actions[0].setdefault(j, zeros(rows, cols))
-        for wk, word in enumerate(words):
-            if len(word) == d - 1:
-                continue
-            for a_idx, a in enumerate(mons[j]):
-                sign_a = -1 if j % 2 else 1
-                for r in range(1, n + 1):
-                    w = exterior.wedge((r,), a)
-                    if w is None:
-                        continue
-                    sign, prod = w
-                    target_word = tuple(sorted(word + (r,)))
-                    wk2 = word_index[target_word]
-                    col = wk2 * width1 + mon_index[j + 1][prod]
-                    mat0[wk * width + a_idx, col] = (mat0[wk * width + a_idx, col] + sign_a * sign) % p
-    return GradedModule(n_plus_1, p, dims, actions)
+        actions[0][j] = sum(np.kron(lr, g[j]) for lr, g in zip(raise_by, table))
+        for r, g in enumerate(table, 1):
+            actions[r][j] = np.kron(eye, g[j])
+    return GradedModule(n + 1, p, {j: len(words) * comb(n, j) for j in range(n + 1)}, actions)
 
 
 def explicit_top_layer_quotient(n: int, d: int, p: int) -> GradedModule:
@@ -320,22 +279,9 @@ def explicit_top_layer_quotient(n: int, d: int, p: int) -> GradedModule:
     if d < 2:
         raise ValueError("needs d >= 2")
     big = filtration_projective_explicit(n, d, p)
-    words: list[tuple[int, ...]] = []
-    for s in range(d):
-        words.extend(_multisets(n, s))
-    mons = [exterior.basis_of_degree(n, j) for j in range(n + 1)]
-    seeds: dict[int, list[np.ndarray]] = {}
-    for j in range(n + 1):
-        width = len(mons[j])
-        if not width or not big.dim(j):
-            continue
-        for wk, word in enumerate(words):
-            if len(word) != d - 1:
-                continue
-            for a_idx in range(width):
-                v = zeros(1, big.dim(j))[0]
-                v[wk * width + a_idx] = 1
-                seeds.setdefault(j, []).append(v)
+    # the deepest words come last, after the len(_words(n, d - 1)) shorter ones
+    first = len(_words(n, d - 1))
+    seeds = {j: list(np.eye(big.dim(j), dtype=np.int64)[first * comb(n, j) :]) for j in big.degrees}
     spans = gmod._closure_subspaces(big, seeds)
     quot, _ = gmod.quotient_by_subspaces(big, spans)
     return quot
@@ -375,11 +321,6 @@ POINT_CLASS_TRIALS = 64
 def _find_point_class(layer: GradedModule, seed: int) -> np.ndarray | None:
     """A nonzero form candidate annihilating the bottom factor of a layer."""
     p = layer.p
-    za = zero_action_forms(layer)
-    if len(za) == 1:
-        return za[0]
-    if len(za) > 1:
-        return None
     d0 = layer.min_deg
     t = layer.dim(d0)
     rng = np.random.default_rng(seed)
@@ -421,11 +362,7 @@ def _peel_point_layers(layer: GradedModule, xi: np.ndarray, seed: int) -> int | 
         d0 = cur.min_deg
         if d0 != g:
             return None
-        amat = cur.form_action(xi, d0)
-        if amat.shape[1] == 0:
-            ker = full_subspace(cur.dim(d0), p)
-        else:
-            ker = left_kernel_basis(amat, p)
+        ker = left_kernel_basis(cur.form_action(xi, d0), p)
         candidates = list(ker.basis)
         for _ in range(16):
             if ker.dim:

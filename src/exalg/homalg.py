@@ -74,9 +74,6 @@ class HomSpace:
         reps = np.delete(self.space.basis, self.ptriv.pivots, axis=0)
         return [gmod.map_from_flat(self.source, self.target, v) for v in reps]
 
-    def coords_of(self, f: ModuleMap) -> np.ndarray:
-        return _coords(self.space, [f])[0]
-
 
 def _coords(space: Subspace, maps: list[ModuleMap]) -> np.ndarray:
     """Coordinates of maps in the RREF basis of their flattened Hom space."""
@@ -125,17 +122,6 @@ def ext_dim(m: GradedModule, n: GradedModule, k: int = 1) -> int:
     gens = gmod.top_generators(x)
     omega = homology.syzygy_step(x, gens)[0]
     return hom_dim(omega, n) - sum(n.dim(g) for g, _ in gens) + hom_dim(x, n)
-
-
-def ext_cocycles(m: GradedModule, n: GradedModule) -> tuple[GradedModule, ModuleMap, GradedModule, ModuleMap, list[ModuleMap]]:
-    """First-extension data: the cover sequence of m and a basis of cocycles.
-
-    Returns (syz, incl, cover, epi, reps) where reps are canonical stable
-    representatives in Hom(syzygy, n) spanning the extension classes.
-    """
-    syz, incl, cover, epi = homology.syzygy_step(m)
-    hs = hom_basis(syz, n)
-    return syz, incl, cover, epi, hs.stable_class_reps()
 
 
 # -- endomorphism algebras ---------------------------------------------------

@@ -54,6 +54,9 @@ REPORT_SHA256 = {
     # n=5, recorded once the resolution dropped regular sequences; every
     # check's expected value is the suite's closed form
     ("examples", 5): "8cc66435251392e5cbcfce0d45c49621c42e97a653a1712007b882eba937c00c",
+    # recorded before the closed-form filtration projective was read off
+    # E's multiplication table; both checks PASS
+    ("lemma2.7", 5): "536cc3157bc91ddbf618cc4efc24d82215bace9a3dcdb5b5e68eb2d957bf0a18",
     # n=6, recorded before the resolution read every table off the Cartan
     # complex; every check PASSes
     ("examples", 6): "d4f2de54d582f290535f568604d9772b225f857ada6f117452c7f028bbbbc0b6",
@@ -198,6 +201,13 @@ def test_verify_report_pinned_at_n4(name):
 def test_examples_suite_at_n5():
     # depth 12; R modulo all six coordinate forms is k, of complexity six
     total, bad = _suites_pass(("examples", 5))
+    assert total and not bad, [c.check_id for c in bad]
+
+
+def test_lemma27_suite_at_n5():
+    # the closed-form P^(d) modulo its deepest layer against the inductive
+    # P^(d-1), at n=5
+    total, bad = _suites_pass(("lemma2.7", 5))
     assert total and not bad, [c.check_id for c in bad]
 
 

@@ -351,6 +351,24 @@ CONSTRUCT_SHA256 = {
     ("xxi", "--n", "3"): "f4e4ea0e173b1405b0214595b1049d2bdae1ba3fea54d790ac7180d8e840520f",
     ("kron", "--i", "2"): "e5dfaaaa92a0d2e3759c4a27bc1cc07d52d163264d8269b7f9285b18d29f0648",
     ("kron", "--i", "-2", "--j", "1"): "0866d0093b7ede6130e85257ddf9c88ae3ee4a635530644008fad55aaf88ae26",
+    # recorded before the closed-form filtration projective was read off
+    # E's multiplication table and the basis completion became one
+    # elimination; these forms need a nontrivial completion
+    ("pd-explicit", "--n", "1", "--d", "4"): (
+        "73629f6f582c298b7cf77f57562810e9eeb02c2d308080bbb88f00aa4c36a51e"
+    ),
+    ("pd-explicit", "--n", "3", "--d", "3"): (
+        "95b7c969377727d3e23a0ed780631dce33bc3e418171217c67ae94c90d6f78f0"
+    ),
+    ("pd-explicit", "--n", "4", "--d", "2"): (
+        "d5febde114d85fe26e51be8808d6a735346080ffa2814c58225b063fdc0067c1"
+    ),
+    ("mu", "--n", "3", "--forms", "0,1,2,0;0,0,1,3"): (
+        "59c6e2dab2a9d716692d6a8259400bb9d5a7985b6b58a7e8a2188b6451e673a1"
+    ),
+    ("mu", "--n", "2", "--forms", "0,1,1"): "7599a5ee09bf39e3bec2485feb1f32586a74455fe45de5177c06f33f311d9c71",
+    ("mxi", "--n", "3", "--xi", "0,0,2,1"): "ca3702d947caa9ecbd485522bf02ffab0b99a860dc7f8138f14f5cb2320cb8ec",
+    ("xxi", "--n", "3", "--xi", "0,1,0,5"): "f24b0ded6501ad85ca39f1da651be8b7b01f092d7084d243a1a701f2257d1de5",
 }
 
 

@@ -1,10 +1,11 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 import pytest
 
 from exalg import constructions as cons
-from exalg import gmod, homalg, homology
+from exalg import exterior, gmod, homalg, homology
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
@@ -16,12 +17,17 @@ def x0(n_plus_1):
     return v
 
 
+def coords_of(space, f):
+    """Coordinates of a map in the RREF basis of a HomSpace."""
+    return homalg._coords(space.space, [f])[0]
+
+
 def is_trivial(c):
     """Whether an extension class's cocycle is stably trivial."""
     space = homalg.hom_basis(c.syz, c.sub)
     if not space.basis:
         return True
-    coords = space.coords_of(c.cocycle)
+    coords = coords_of(space, c.cocycle)
     return not la.reduce_mod_subspace(coords, space.ptriv).any()
 
 
@@ -35,12 +41,12 @@ def connecting_recovers_basis(x, m):
     power, _, projs = gmod.direct_sum(*[m] * a)
     space = homalg.hom_basis(classes[0].syz, m)
     reps = space.stable_class_reps()
-    rep_coords = [la.reduce_mod_subspace(space.coords_of(r), space.ptriv) for r in reps]
+    rep_coords = [la.reduce_mod_subspace(coords_of(space, r), space.ptriv) for r in reps]
     stacked = {d: np.hstack([c.cocycle.block(d) for c in classes]) for d in classes[0].syz.degrees}
     cocycle = gmod.ModuleMap(classes[0].syz, power, stacked)
     for k in range(a):
         pushed = gmod.map_compose(cocycle, projs[k])
-        got = la.reduce_mod_subspace(space.coords_of(pushed), space.ptriv)
+        got = la.reduce_mod_subspace(coords_of(space, pushed), space.ptriv)
         if not np.array_equal(got, rep_coords[k]):
             return False
     return True
@@ -103,6 +109,39 @@ def test_forms_of_the_wrong_length_are_rejected():
     for form in ([1, 0], [1, 0, 0, 0], [[1, 0, 0]]):
         with pytest.raises(ValueError, match="3 coefficients"):
             m.form_action(form, 0)
+
+
+def greedy_completion(forms, p):
+    """Reference completion: try each unit vector in turn, one elimination
+    each, and keep it when it raises the rank."""
+    n1 = forms.shape[1]
+    rows = [f % p for f in forms]
+    for e in np.eye(n1, dtype=np.int64):
+        if len(rows) == n1:
+            break
+        if la.rref(np.vstack([*rows, e]), p)[0] == len(rows) + 1:
+            rows.append(e)
+    return np.array(rows, dtype=np.int64)
+
+
+def test_completion_to_basis_matches_greedy_oracle():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for p in (5, 7, P):
+        for n1 in range(1, 7):
+            for trial in range(12):
+                k = int(rng.integers(1, n1 + 1))
+                forms = rng.integers(0, p, (k, n1), dtype=np.int64)
+                if trial % 2:
+                    # zero leading coordinates push the completion off e_0
+                    forms[:, : int(rng.integers(1, n1 + 1))] = 0
+                if la.rref(forms, p)[0] != k:
+                    continue
+                got = cons._completion_to_basis(forms, p)
+                assert np.array_equal(got, greedy_completion(forms, p))
+                assert la.rref(got, p)[0] == n1
+                checked += 1
+    assert checked >= 100
 
 
 def test_span_quotient_rejects_dependent_forms():
@@ -236,6 +275,38 @@ def test_filtration_projective_explicit_matches_inductive():
             assert gmod.iso_probable(exp, ind, seed=7).kind == "ISO"
 
 
+def wedge_presentation(n, d, p):
+    """Reference closed form, one wedge per entry: x_r sends e_w ⊗ a to
+    e_w ⊗ (a ∧ x_r), and x_0 sends it to (-1)^|a| Σ_r e_{w+r} ⊗ (x_r ∧ a)
+    below the deepest layer."""
+    words = [w for s in range(d) for w in combinations_with_replacement(range(1, n + 1), s)]
+    mons = [[tuple(t + 1 for t in mon) for mon in exterior.basis_of_degree(n, j)] for j in range(n + 1)]
+    col = [{mon: k for k, mon in enumerate(row)} for row in mons]
+    actions = [{} for _ in range(n + 1)]
+    for j in range(n):
+        w0, w1 = len(mons[j]), len(mons[j + 1])
+        for i in range(n + 1):
+            actions[i][j] = np.zeros((len(words) * w0, len(words) * w1), dtype=np.int64)
+        for wk, word in enumerate(words):
+            for ak, a in enumerate(mons[j]):
+                for r in range(1, n + 1):
+                    right, left = exterior.wedge(a, (r,)), exterior.wedge((r,), a)
+                    if right is not None:
+                        actions[r][j][wk * w0 + ak, wk * w1 + col[j + 1][right[1]]] = right[0] % p
+                    if left is not None and len(word) < d - 1:
+                        target = words.index(tuple(sorted(word + (r,))))
+                        actions[0][j][wk * w0 + ak, target * w1 + col[j + 1][left[1]]] = (-1) ** j * left[0] % p
+    dims = {j: len(words) * len(mons[j]) for j in range(n + 1)}
+    return gmod.GradedModule(n + 1, p, dims, actions)
+
+
+def test_filtration_projective_explicit_matches_wedge_reference():
+    for p in (5, 7, P):
+        for n in range(5):
+            for d in range(1, 5):
+                assert cons.filtration_projective_explicit(n, d, p) == wedge_presentation(n, d, p)
+
+
 def test_filtration_projective_explicit_presentation_relations():
     # order-2 case: e*x0 = sum_s e_s x_s and e_s*x0 = 0
     n = 2
@@ -327,6 +398,22 @@ def test_universal_extension_of_projective_has_quadratic_many_copies():
     assert len(classes) == comb(n + 1, 2)
     assert ext.sub.total_dim == comb(n + 1, 2) * 2 ** n
     assert ext.degreewise_exact()
+
+
+def test_find_point_class_one_route():
+    xi = np.array([3, 1, 4], dtype=np.int64)
+    want = cons._normalize_form(xi, P)
+    # a layer every vector of which ξ kills: P_ξ ⊕ P_ξ for a form with no
+    # zero coordinate
+    pt = cons.point_module(3, xi, P)
+    got = cons._find_point_class(gmod.direct_sum(pt, pt)[0], 0)
+    assert tuple(int(v) for v in got) == want
+    # every form kills the simple module, so no single class is found
+    assert cons._find_point_class(gmod.simple_module(3, P), 0) is None
+    # the non-split almost-split middle: no form kills all of it
+    middle = cons.ar_sequence_middle(2, P, form=xi).middle
+    got = cons._find_point_class(middle, 0)
+    assert tuple(int(v) for v in got) == want
 
 
 def test_cx1_filtration_point_module():
