@@ -691,11 +691,6 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
     return subspace_from_rows(np.hstack(flat), ambient, p)
 
 
-def hom_space_maps(a: GradedModule, b: GradedModule) -> list[ModuleMap]:
-    """hom_space(a, b)'s basis as maps."""
-    return [map_from_flat(a, b, v) for v in hom_space(a, b).basis]
-
-
 # -- isomorphism testing ----------------------------------------------------
 
 

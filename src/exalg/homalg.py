@@ -95,7 +95,9 @@ def factor_through_projectives(m: GradedModule, n: GradedModule, space: Subspace
     if not space.dim:
         return zero_subspace(0, m.p)
     env, mono = homology.injective_envelope(m)
-    composites = [gmod.map_compose(mono, g) for g in gmod.hom_space_maps(env, n)]
+    composites = [
+        gmod.map_compose(mono, gmod.map_from_flat(env, n, v)) for v in gmod.hom_space(env, n).basis
+    ]
     return subspace_from_rows(_coords(space, composites), space.dim, m.p)
 
 

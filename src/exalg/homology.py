@@ -28,14 +28,13 @@ from . import gmod
 from .gmod import GradedModule, ModuleMap
 from .linalg import (
     Subspace,
-    full_subspace,
+    coords_in_rref_basis,
+    identity,
     left_kernel_basis,
     matmul_mod,
     rref,
     solve,
     subspace_from_rows,
-    subspace_intersection,
-    zero_subspace,
     zeros,
 )
 
@@ -309,38 +308,25 @@ def lowest_step(m: GradedModule):
     if m.is_zero():
         raise ValueError("lowest_step of the zero module")
     d0 = m.min_deg
-    gens = []
-    for c in range(m.dim(d0)):
-        v = zeros(1, m.dim(d0))[0]
-        v[c] = 1
-        gens.append((d0, v))
-    sub, incl, quot, proj = gmod.sub_quotient(m, gens)
-    return sub, incl, quot, proj
+    return gmod.sub_quotient(m, [(d0, v) for v in identity(m.dim(d0))])
 
 
 def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
-    """Radical-compatibility of a submodule: mJ^k meets it in exactly LJ^k."""
-    sub = incl.source
+    """Radical-compatibility of a submodule L: mJ^k meets L in exactly LJ^k.
+
+    LJ^k always lies in mJ^k ∩ L, so the two are equal exactly when
+    dim mJ^k + dim L - rank[mJ^k; L] = dim LJ^k in every degree.  This holds
+    at k = 0, and at every k once mJ^k = 0.
+    """
     p = m.p
-    m_power = {d: full_subspace(m.dim(d), p) for d in m.degrees}
-    l_power = {d: full_subspace(sub.dim(d), p) for d in sub.degrees}
-    image_l = {d: subspace_from_rows(incl.block(d), m.dim(d), p) for d in m.degrees}
-    # J^(n+2) = 0, so past n + 2 steps both powers are zero
-    loewy = min(m.max_deg - m.min_deg + 2, m.n_plus_1 + 1) if m.dims else 0
-    for _ in range(loewy + 1):
-        for d in m.degrees:
-            lp = l_power.get(d)
-            if lp is not None and lp.dim:
-                pushed = subspace_from_rows(
-                    matmul_mod(lp.basis, incl.block(d), p), m.dim(d), p
-                )
-            else:
-                pushed = zero_subspace(m.dim(d), p)
-            meet = subspace_intersection(m_power[d], image_l[d])
-            if meet != pushed:
+    image = {d: subspace_from_rows(incl.block(d), m.dim(d), p) for d in m.degrees}
+    m_power, l_power = gmod.radical_subspaces(m), gmod.radical_image(m, image)
+    while any(s.dim for s in m_power.values()):
+        for d, s in m_power.items():
+            both = rref(np.vstack([s.basis, image[d].basis]), p)[0]
+            if s.dim + image[d].dim - both != l_power[d].dim:
                 return False
-        m_power = gmod.radical_image(m, m_power)
-        l_power = gmod.radical_image(sub, l_power)
+        m_power, l_power = gmod.radical_image(m, m_power), gmod.radical_image(m, l_power)
     return True
 
 
@@ -542,10 +528,10 @@ def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
         for d in sub_incl.source.degrees:
             moved = matmul_mod(sub_incl.block(d), big.block(d), p)
             # the inclusion block is a kernel basis, already in RREF
-            emb = tgt_incl.block(d)
-            blocks[d] = moved[:, Subspace(big.target.dim(d), emb, p).pivots]
-            if not np.array_equal(matmul_mod(blocks[d], emb, p), moved):
+            coords = coords_in_rref_basis(moved, Subspace(big.target.dim(d), tgt_incl.block(d), p))
+            if coords is None:
                 raise ValueError("restriction does not land in the target kernel")
+            blocks[d] = coords
         return ModuleMap(sub_incl.source, tgt_incl.source, blocks)
 
     incl_s = restrict(lift_ab, incl_a, incl_b)

@@ -322,12 +322,6 @@ class Subspace:
             return []
         return np.argmax(self.basis != 0, axis=1).tolist()
 
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        if v.shape != (self.ambient,):
-            raise DimensionMismatch("vector/ambient mismatch")
-        return reduce_mod_subspace(v, self).max(initial=0) == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -352,16 +346,6 @@ def zero_subspace(ambient: int, p: int) -> Subspace:
 
 def full_subspace(ambient: int, p: int) -> Subspace:
     return Subspace(ambient, identity(ambient), p)
-
-
-def reduce_mod_subspace(vec: np.ndarray, s: Subspace) -> np.ndarray:
-    """Canonical coset representative of vec modulo the subspace."""
-    v = np.asarray(vec, dtype=np.int64) % s.p
-    if s.dim == 0:
-        return v
-    # RREF basis: the pivot coordinates are the coefficients outright.
-    coeffs = v[s.pivots]
-    return (v - matmul_mod(coeffs.reshape(1, -1), s.basis, s.p).ravel()) % s.p
 
 
 def coords_in_rref_basis(rows, s: Subspace) -> np.ndarray | None:
@@ -426,19 +410,4 @@ def solve(a, b, p: int) -> np.ndarray | None:
     for i, c in enumerate(pivots):
         x[c] = red[i, n]
     return x
-
-
-def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient != w.ambient:
-        raise DimensionMismatch("subspace ambient mismatch")
-    p = u.p
-    if u.dim == 0 or w.dim == 0:
-        return zero_subspace(u.ambient, p)
-    # Pairs (s, t) with s @ u.basis = t @ w.basis sweep out the intersection.
-    stacked = np.vstack([u.basis, (-w.basis) % p])
-    pairs = left_kernel_basis(stacked, p)  # rows (s | t)
-    if pairs.dim == 0:
-        return zero_subspace(u.ambient, p)
-    vecs = matmul_mod(pairs.basis[:, : u.dim], u.basis, p)
-    return subspace_from_rows(vecs, u.ambient, p)
 

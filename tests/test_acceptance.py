@@ -13,7 +13,7 @@ from exalg import constructions as cons
 from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
-from test_linalg import random_matrix, subspace_sum
+from test_linalg import random_matrix, subspace_intersection, subspace_sum
 
 P = la.DEFAULT_PRIME
 
@@ -182,7 +182,7 @@ def test_criterion_11_infrastructure(capsys, monkeypatch):
         amb = int(rng.integers(1, 6))
         u = la.subspace_from_rows(random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
         w = la.subspace_from_rows(random_matrix(rng, int(rng.integers(0, 4)), amb, P), amb, P)
-        s, i = subspace_sum(u, w), la.subspace_intersection(u, w)
+        s, i = subspace_sum(u, w), subspace_intersection(u, w)
         if s.dim + i.dim != u.dim + w.dim:
             failures.append("modular-law")
             break

@@ -7,6 +7,7 @@ import pytest
 from exalg import constructions as cons
 from exalg import exterior, gmod, homalg, homology
 from exalg import linalg as la
+from test_linalg import reduce_mod_subspace
 
 P = la.DEFAULT_PRIME
 
@@ -28,7 +29,7 @@ def is_trivial(c):
     if not space.basis:
         return True
     coords = coords_of(space, c.cocycle)
-    return not la.reduce_mod_subspace(coords, space.ptriv).any()
+    return not reduce_mod_subspace(coords, space.ptriv).any()
 
 
 def connecting_recovers_basis(x, m):
@@ -41,12 +42,12 @@ def connecting_recovers_basis(x, m):
     power, _, projs = gmod.direct_sum(*[m] * a)
     space = homalg.hom_basis(classes[0].syz, m)
     reps = space.stable_class_reps()
-    rep_coords = [la.reduce_mod_subspace(coords_of(space, r), space.ptriv) for r in reps]
+    rep_coords = [reduce_mod_subspace(coords_of(space, r), space.ptriv) for r in reps]
     stacked = {d: np.hstack([c.cocycle.block(d) for c in classes]) for d in classes[0].syz.degrees}
     cocycle = gmod.ModuleMap(classes[0].syz, power, stacked)
     for k in range(a):
         pushed = gmod.map_compose(cocycle, projs[k])
-        got = la.reduce_mod_subspace(coords_of(space, pushed), space.ptriv)
+        got = reduce_mod_subspace(coords_of(space, pushed), space.ptriv)
         if not np.array_equal(got, rep_coords[k]):
             return False
     return True

@@ -7,7 +7,10 @@ from exalg import constructions as cons
 from exalg import exterior as ext
 from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
+from exalg.gmod import GradedModule, ModuleMap
+from exalg.linalg import full_subspace, matmul_mod, subspace_from_rows, zero_subspace
 from test_gmod import random_structured_module
+from test_linalg import subspace_intersection
 
 P = la.DEFAULT_PRIME
 
@@ -91,7 +94,7 @@ def test_kernel_of_cover_sits_in_radical():
     radical = gmod.radical_subspaces(cover)
     for d in syz.degrees:
         for row in incl.block(d):
-            assert radical[d].contains(row)
+            assert la.coords_in_rref_basis([row], radical[d]) is not None
 
 
 def test_syzygy_of_free_is_zero():
@@ -362,6 +365,72 @@ def test_relative_sub_checks_radical_powers_beyond_the_first():
     sub, incl, _, _ = gmod.sub_quotient(m, [(3, np.array([1, 2, 1]))])
     assert sub.dims == {3: 1, 4: 2}
     assert not homology.is_relative_sub(m, incl)
+
+
+def is_relative_sub_by_intersection(m: GradedModule, incl: ModuleMap) -> bool:
+    """Oracle for is_relative_sub: builds mJ^k and LJ^k as subspaces and
+    compares mJ^k ∩ L with LJ^k outright, k = 0 included."""
+    sub = incl.source
+    p = m.p
+    m_power = {d: full_subspace(m.dim(d), p) for d in m.degrees}
+    l_power = {d: full_subspace(sub.dim(d), p) for d in sub.degrees}
+    image_l = {d: subspace_from_rows(incl.block(d), m.dim(d), p) for d in m.degrees}
+    # J^(n+2) = 0, so past n + 2 steps both powers are zero
+    loewy = min(m.max_deg - m.min_deg + 2, m.n_plus_1 + 1) if m.dims else 0
+    for _ in range(loewy + 1):
+        for d in m.degrees:
+            lp = l_power.get(d)
+            if lp is not None and lp.dim:
+                pushed = subspace_from_rows(
+                    matmul_mod(lp.basis, incl.block(d), p), m.dim(d), p
+                )
+            else:
+                pushed = zero_subspace(m.dim(d), p)
+            meet = subspace_intersection(m_power[d], image_l[d])
+            if meet != pushed:
+                return False
+        m_power = gmod.radical_image(m, m_power)
+        l_power = gmod.radical_image(sub, l_power)
+    return True
+
+
+def relative_battery():
+    """(module, inclusion) pairs for n <= 3 and p in {5, P}: every submodule
+    generated by one unit vector and every lowest_step layer of five modules,
+    then three extensions and their syzygy_of_ses images."""
+    cases = []
+    for p in (5, P):
+        for n in (1, 2, 3):
+            point = cons.point_module(n + 1, np.eye(1, n + 1, dtype=np.int64)[0], p)
+            free = gmod.free_module(n + 1, p, [0])
+            p2 = cons.filtration_projective(n, 2, p)
+            almost_split = cons.ar_sequence_middle(n, p)
+            for m in (point, p2, free, gmod.square_truncate(free), almost_split.middle):
+                for d in m.degrees:
+                    for v in la.identity(m.dim(d)):
+                        cases.append((m, gmod.sub_quotient(m, [(d, v)])[1]))
+                cur = m
+                while not cur.is_zero():
+                    _, incl, cur, _ = homology.lowest_step(cur)
+                    cases.append((incl.target, incl))
+            for ext in (
+                almost_split,
+                cons.universal_extension(point, point)[0],
+                cons.universal_extension(p2, point)[0],
+            ):
+                incl_s = homology.syzygy_of_ses(ext.incl, ext.proj)[0]
+                cases += [(ext.middle, ext.incl), (incl_s.target, incl_s)]
+    return cases
+
+
+def test_relative_sub_rank_count_matches_the_intersection_oracle():
+    verdicts = []
+    for m, incl in relative_battery():
+        got = homology.is_relative_sub(m, incl)
+        assert got == is_relative_sub_by_intersection(m, incl)
+        verdicts.append(got)
+    assert len(verdicts) >= 300
+    assert set(verdicts) == {True, False}
 
 
 def test_weakly_koszul_linear_modules():
