@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exterior, gmod, homalg, homology
 from .gmod import GradedModule, ModuleMap
-from .linalg import inv_mod, kernel_basis, left_kernel_basis, matmul_mod, rref, zeros
+from .linalg import identity, left_kernel_basis, matmul_mod, rref, zeros
 
 
 class DependentForms(ValueError):
@@ -76,13 +76,11 @@ def span_quotient(n_plus_1: int, forms, p: int) -> GradedModule:
     return gmod.transport(base, cinv)
 
 
-def _invert(a: np.ndarray, p: int) -> np.ndarray:
+def _invert(a: np.ndarray, p: int) -> np.ndarray | None:
+    """The inverse of a square matrix, or None if it is singular."""
     n = a.shape[0]
-    aug = np.hstack([a % p, np.eye(n, dtype=np.int64)])
-    rank, red, piv = rref(aug, p)
-    if rank != n or piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return red[:, n:]
+    _, red, piv = rref(np.hstack([a % p, identity(n)]), p)
+    return red[:, n:] if piv == list(range(n)) else None
 
 
 def point_module(n_plus_1: int, form, p: int) -> GradedModule:
@@ -315,74 +313,54 @@ def kronecker_family(i: int, j: int, p: int) -> GradedModule:
     return gmod.shift(base, j)
 
 
-POINT_CLASS_TRIALS = 64
+def _matrix_power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = identity(a.shape[0])
+    while e:
+        if e & 1:
+            out = matmul_mod(out, a, p)
+        a, e = matmul_mod(a, a, p), e >> 1
+    return out
 
 
-def _find_point_class(layer: GradedModule, seed: int) -> np.ndarray | None:
-    """A nonzero form candidate annihilating the bottom factor of a layer."""
-    p = layer.p
-    d0 = layer.min_deg
-    t = layer.dim(d0)
-    rng = np.random.default_rng(seed)
-    candidates = [np.eye(t, dtype=np.int64)[k] for k in range(t)]
-    for _ in range(POINT_CLASS_TRIALS):
-        candidates.append(rng.integers(0, p, t, dtype=np.int64))
-    stacked = [layer.action(i, d0) for i in range(layer.n_plus_1)]
-    for w in candidates:
-        if not w.any():
-            continue
-        mat = np.stack([matmul_mod(w.reshape(1, -1), a, p).ravel() for a in stacked])
-        ker = kernel_basis(mat.T, p)
-        if ker.dim == 1:
-            return ker.basis[0]
-    return None
+def _find_point_class(layer: GradedModule) -> tuple[int, ...] | None:
+    """The RREF-normalized form ξ for which a layer L, generated in its
+    lowest degree g, is an iterated extension of copies of M_ξ(-g), or None.
 
-
-def _normalize_form(v: np.ndarray, p: int) -> tuple[int, ...]:
-    nz = np.nonzero(v)[0]
-    scale = inv_mod(int(v[nz[0]]), p)
-    return tuple(int(x * scale % p) for x in v)
-
-
-def _peel_point_layers(layer: GradedModule, xi: np.ndarray, seed: int) -> int | None:
-    """Count the point-module factors of a single-generation-degree layer.
-
-    Every factor must be the point module of xi sitting in the layer's own
-    generation degree; a cyclic submodule killed by xi with the full 2^n
-    dimension profile is such a copy, and peeling it keeps the layer in
-    the same class.
+    Let t = dim L_g.  The left kernel of the stacked x_0..x_n on L_g holds
+    the relations Σ_j w_j x_j = 0 with w_j in F_p^t.  If it has t rows and
+    block i of them is invertible, i the first such, then the rows of the
+    x_j with j ≠ i on L_g are independent and x_i = Σ_j B_j x_j there, with
+    B_j = -(block i)^(-1) (block j).  Given cx1_filtration's dimension count, L
+    is then free over the exterior algebra on the x_j, j ≠ i, and the
+    commuting B_j fix the rest of its structure.  A copy of M_ξ, ξ = x_i +
+    Σ_j c_j x_j, is a common eigenvector with B_j = -c_j, so L is an
+    iterated extension of such copies exactly when every B_j is -c_j I plus
+    a nilpotent, that is, when B_j^q = -c_j I for the least q = p^k ≥ t,
+    as (-c + N)^q = -c in characteristic p.  The relation ξ on the bottom
+    copy makes each block before ξ's first nonzero coordinate singular, so
+    ξ_i = 1 leads.  Nothing here depends on the basis of L.
     """
-    p = layer.p
-    n = layer.n_plus_1 - 1
-    g = layer.min_deg
-    cur = layer
-    count = 0
-    rng = np.random.default_rng(seed + 1)
-    while not cur.is_zero():
-        d0 = cur.min_deg
-        if d0 != g:
+    p, n1, g = layer.p, layer.n_plus_1, layer.min_deg
+    t = layer.dim(g)
+    ker = left_kernel_basis(np.vstack([layer.action(j, g) for j in range(n1)]), p).basis
+    if ker.shape[0] != t:
+        return None
+    for block in np.split(ker, n1, axis=1):
+        inv = _invert(block, p)
+        if inv is not None:
+            break
+    else:
+        return None
+    q = 1
+    while q < t:
+        q *= p
+    xi = []
+    for c in np.split(matmul_mod(inv, ker, p), n1, axis=1):
+        power = _matrix_power(c, q, p)
+        if not np.array_equal(power, power[0, 0] * identity(t)):
             return None
-        ker = left_kernel_basis(cur.form_action(xi, d0), p)
-        candidates = list(ker.basis)
-        for _ in range(16):
-            if ker.dim:
-                c = rng.integers(0, p, ker.dim, dtype=np.int64)
-                candidates.append(matmul_mod(c.reshape(1, -1), ker.basis, p).ravel())
-        found = False
-        for w in candidates:
-            if not w.any():
-                continue
-            sub, _, quot, _ = gmod.sub_quotient(cur, [(d0, w)])
-            if sub.total_dim == 2 ** n and all(
-                sub.dim(d0 + j) == comb(n, j) for j in range(n + 1)
-            ):
-                cur = quot
-                count += 1
-                found = True
-                break
-        if not found:
-            return None
-    return count
+        xi.append(int(power[0, 0]))
+    return tuple(xi)
 
 
 def cx1_filtration(m: GradedModule, seed: int = 0) -> list[tuple[tuple[int, ...], int]]:
@@ -390,23 +368,28 @@ def cx1_filtration(m: GradedModule, seed: int = 0) -> list[tuple[tuple[int, ...]
 
     Returns a bottom-up list of (normalized annihilating form, shift);
     a factor (xi, j) is the point module of xi shifted by j.  Raises
-    NotComplexityOne when the input is not complexity one or a layer
-    cannot be decomposed into copies of a single point class.
+    NotComplexityOne when the input is not complexity one (by a regular
+    sequence drawn from the seed) or a layer is not an iterated extension
+    of copies of a single point class.
+
+    Each layer L, the submodule generated by the lowest degree g of what
+    is left, is t = dim L_g copies of M_ξ(-g), one after another, exactly
+    when dim L_(g+k) = t·C(n, k) for k = 0..n, L is zero elsewhere, and
+    _find_point_class finds ξ.  Both tests are exact and basis-free, so
+    isomorphic inputs give the same factors.
     """
     cx = m.n_plus_1 - len(homology.regular_sequence(m, seed=seed))
     if cx != 1:
         raise NotComplexityOne(f"regular-sequence complexity is {cx}")
+    n = m.n_plus_1 - 1
     out: list[tuple[tuple[int, ...], int]] = []
     cur = m
     while not cur.is_zero():
-        layer, _, rest, _ = homology.lowest_step(cur)
+        layer, _, cur, _ = homology.lowest_step(cur)
         g = layer.min_deg
-        xi = _find_point_class(layer, seed)
-        count = _peel_point_layers(layer, xi, seed) if xi is not None else None
-        if count is None:
+        t = layer.dim(g)
+        profile = {g + k: t * comb(n, k) for k in range(n + 1)}
+        if layer.dims != profile or (xi := _find_point_class(layer)) is None:
             raise NotComplexityOne("a layer is not an iterated extension of one point class")
-        out.extend([(_normalize_form(xi, m.p), -g)] * count)
-        if rest.dims == cur.dims:
-            raise NotComplexityOne("layer peeling made no progress")
-        cur = rest
+        out.extend([(xi, -g)] * t)
     return out

@@ -506,15 +506,10 @@ def radical_subspaces(m: GradedModule) -> dict[int, Subspace]:
 
 def socle(m: GradedModule) -> dict[int, Subspace]:
     """The graded socle: vectors killed by every variable, per degree."""
-    p = m.p
-    out: dict[int, Subspace] = {}
-    for d in m.degrees:
-        if m.dim(d + 1) == 0:
-            out[d] = linalg.full_subspace(m.dim(d), p)
-            continue
-        stacked = np.hstack([m.action(i, d) for i in range(m.n_plus_1)])
-        out[d] = left_kernel_basis(stacked, p)
-    return out
+    return {
+        d: left_kernel_basis(np.hstack([m.action(i, d) for i in range(m.n_plus_1)]), m.p)
+        for d in m.degrees
+    }
 
 
 def top_generators(m: GradedModule) -> list[tuple[int, np.ndarray]]:

@@ -344,10 +344,6 @@ def zero_subspace(ambient: int, p: int) -> Subspace:
     return Subspace(ambient, zeros(0, ambient), p)
 
 
-def full_subspace(ambient: int, p: int) -> Subspace:
-    return Subspace(ambient, identity(ambient), p)
-
-
 def coords_in_rref_basis(rows, s: Subspace) -> np.ndarray | None:
     """Coordinates of each row in the RREF basis of s (a member's entries at
     the pivots), or None if some row is not a member."""
@@ -364,28 +360,22 @@ def kernel_basis(mat, p: int) -> Subspace:
     """Right null space {v : mat @ v = 0} as a Subspace whose basis is the
     canonical RREF, obtained from one elimination."""
     a = _as_mat(mat)
-    rows, cols = a.shape
-    if cols == 0:
-        return zero_subspace(0, p)
-    if rows == 0:
-        return full_subspace(cols, p)
+    cols = a.shape[1]
     # Eliminating the reversed columns leaves each pivot row with entries
     # only left of its pivot, at free columns.  The kernel vector of free
     # column f is then 1 at f, 0 at the other free columns and nonzero only
     # at pivot columns right of f: with rows in ascending f these vectors
     # already are the kernel's RREF.  The RREF is unique, so the result is
-    # byte-identical to re-reducing it.
+    # byte-identical to re-reducing it.  No row, no column and full rank
+    # need no case of their own.
     rank, red, rev_pivots = rref(a[:, ::-1], p)
     free_mask = np.ones(cols, dtype=bool)
     pivots = [cols - 1 - c for c in rev_pivots]
     free_mask[pivots] = False
     free = np.flatnonzero(free_mask)
-    if not free.size:
-        return zero_subspace(cols, p)
     basis = zeros(free.size, cols)
     basis[np.arange(free.size), free] = 1
-    if pivots:
-        basis[:, pivots] = (-red[:rank, cols - 1 - free].T) % p
+    basis[:, pivots] = (-red[:rank, cols - 1 - free].T) % p
     return Subspace(cols, basis, p)
 
 

@@ -16,6 +16,7 @@ from exalg import constructions as cons
 from exalg import gmod, homalg, homology, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
+from test_constructions import change_basis
 
 P = la.DEFAULT_PRIME
 
@@ -288,6 +289,17 @@ def test_cli_filter_reports_point_layers(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_cli_filter_does_not_depend_on_the_basis(tmp_path, capsys):
+    plain = cons.filtration_projective(2, 2, P)
+    outs = []
+    for name, m in (("plain.json", plain), ("changed.json", change_basis(plain, 0))):
+        code, out, _ = run_cli(["filter", write_module(tmp_path, name, m), "--json"], capsys=capsys)
+        outs.append((code, out))
+    assert outs[0] == (0, '{"factors":[{"form":[1,0,0],"shift":0},{"form":[1,0,0],"shift":0},'
+                          '{"form":[1,0,0],"shift":0}],"p":32003}\n')
+    assert outs[1] == outs[0]
+
+
 def test_cli_filter_rejects_simple(tmp_path, capsys, monkeypatch):
     s = gmod.simple_module(3, P, 0)
     path = write_module(tmp_path, "s.json", s)
@@ -411,33 +423,53 @@ def test_cli_hom_and_end_json_pinned(argv, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HOM_SHA256[argv]
 
 
-# sha256 of `exalg syzygy`, `exalg cosyzygy` and `exalg tensor` stdout,
-# recorded before exterior.generator_matrices became E's one multiplication
-# table; tensor takes the module twice
+# exit code and sha256 of the stdout of `exalg construct ... | command`,
+# where " | " inside command chains one more command through a module
+# file; tensor takes the module twice.  The syzygy, cosyzygy and tensor
+# entries were recorded before exterior.generator_matrices became E's one
+# multiplication table, the filter entries before cx1_filtration read each
+# layer's point class in closed form.
 MODULE_OP_SHA256 = {
     (("pd", "--n", "3", "--d", "3"), ("syzygy", "-k", "2")): (
-        "5b6c52edb6ee52cab53d9e59685043164eb3efa76a3d89a04842facdea270549"
+        0, "5b6c52edb6ee52cab53d9e59685043164eb3efa76a3d89a04842facdea270549"
     ),
     (("pd", "--n", "2", "--d", "3"), ("cosyzygy", "-k", "2")): (
-        "a2c07ffdc88114b851d7828a8908461e7d2b4bd4867422ee1d919ea06f5506a4"
+        0, "a2c07ffdc88114b851d7828a8908461e7d2b4bd4867422ee1d919ea06f5506a4"
     ),
     (("mu", "--n", "3", "--forms", "1,2,0,0;0,1,3,0"), ("syzygy", "-k", "3")): (
-        "03f353b79c1b7856e568d740f80e8c6df281b2360652dfd856d7dfc6791c25c9"
+        0, "03f353b79c1b7856e568d740f80e8c6df281b2360652dfd856d7dfc6791c25c9"
     ),
-    (("xxi", "--n", "2"), ("tensor",)): "091780507421d98c031d7208b090cd6b2e0a4c59459425366de2e988737bb821",
+    (("xxi", "--n", "2"), ("tensor",)): (
+        0, "091780507421d98c031d7208b090cd6b2e0a4c59459425366de2e988737bb821"
+    ),
+    # ten factors [1,0,0,0] at shift 0
+    (("pd", "--n", "3", "--d", "3"), ("filter", "--json")): (
+        0, "5602ada2c38c84aa95aff080c61a8099439e5dfb9b6bb7aad0db111a7b03cdd8"
+    ),
+    (("xxi", "--n", "3", "--xi", "0,1,0,5"), ("filter", "--json")): (
+        0, "d93f9dc5109f8c31ea4fb10dd215d7fab074f787a1ac3d910d926c20e06fb34b"
+    ),
+    # six factors [1,0,0] at shift 1
+    (("pd", "--n", "2", "--d", "3"), ("cosyzygy", "|", "filter", "--json")): (
+        0, "fe2ff4689b7365099b7ae4c7ff3f9ece5ea496aa30153b033c9b4c420315b5f2"
+    ),
+    # NOT_CX1: regular-sequence complexity is 2
+    (("mu", "--n", "2", "--forms", "1,0,0;0,1,0"), ("filter",)): (
+        1, "655c5c03817f7d620280c394ce8e246fd05c8fbeca36afde52878b98c3a1f659"
+    ),
 }
 
 
 @pytest.mark.parametrize("construct, command", sorted(MODULE_OP_SHA256))
 def test_cli_module_operations_pinned(construct, command, tmp_path, capsys):
     code, out, _ = run_cli(["construct", *construct], capsys=capsys)
-    assert code == 0
-    path = tmp_path / "m.json"
-    path.write_text(out, encoding="utf-8")
-    operands = [str(path)] * (2 if command[0] == "tensor" else 1)
-    code, out, _ = run_cli([command[0], *operands, *command[1:]], capsys=capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MODULE_OP_SHA256[(construct, command)]
+    for k, (name, *options) in enumerate(s.split() for s in " ".join(command).split(" | ")):
+        assert code == 0
+        path = tmp_path / f"m{k}.json"
+        path.write_text(out, encoding="utf-8")
+        operands = [str(path)] * (2 if name == "tensor" else 1)
+        code, out, _ = run_cli([name, *operands, *options], capsys=capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MODULE_OP_SHA256[(construct, command)]
 
 
 @pytest.mark.parametrize("suite", ["pd", "eisenbud", "relative"])

@@ -1,4 +1,5 @@
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -403,17 +404,17 @@ def test_universal_extension_of_projective_has_quadratic_many_copies():
 
 def test_find_point_class_one_route():
     xi = np.array([3, 1, 4], dtype=np.int64)
-    want = cons._normalize_form(xi, P)
+    want = _normalize_form(xi, P)
     # a layer every vector of which ξ kills: P_ξ ⊕ P_ξ for a form with no
     # zero coordinate
     pt = cons.point_module(3, xi, P)
-    got = cons._find_point_class(gmod.direct_sum(pt, pt)[0], 0)
+    got = cons._find_point_class(gmod.direct_sum(pt, pt)[0])
     assert tuple(int(v) for v in got) == want
     # every form kills the simple module, so no single class is found
-    assert cons._find_point_class(gmod.simple_module(3, P), 0) is None
+    assert cons._find_point_class(gmod.simple_module(3, P)) is None
     # the non-split almost-split middle: no form kills all of it
     middle = cons.ar_sequence_middle(2, P, form=xi).middle
-    got = cons._find_point_class(middle, 0)
+    got = cons._find_point_class(middle)
     assert tuple(int(v) for v in got) == want
 
 
@@ -424,7 +425,7 @@ def test_cx1_filtration_point_module():
     assert len(layers) == 1
     xi, shift_j = layers[0]
     assert shift_j == 0
-    want = cons._normalize_form(np.array([1, 2, 3], dtype=np.int64), P)
+    want = _normalize_form(np.array([1, 2, 3], dtype=np.int64), P)
     assert xi == want
 
 
@@ -435,7 +436,7 @@ def test_cx1_filtration_filtration_projective():
     assert len(layers) == n + 1
     assert all(j == 0 for _, j in layers)
     assert len({xi for xi, _ in layers}) == 1
-    assert layers[0][0] == cons._normalize_form(x0(n + 1), P)
+    assert layers[0][0] == _normalize_form(x0(n + 1), P)
 
 
 def test_cx1_filtration_of_almost_split_middle():
@@ -443,8 +444,8 @@ def test_cx1_filtration_of_almost_split_middle():
     ext = cons.ar_sequence_middle(n, P)
     layers = cons.cx1_filtration(ext.middle, seed=0)
     assert layers == [
-        (cons._normalize_form(x0(n + 1), P), n - 1),
-        (cons._normalize_form(x0(n + 1), P), 0),
+        (_normalize_form(x0(n + 1), P), n - 1),
+        (_normalize_form(x0(n + 1), P), 0),
     ]
 
 
@@ -460,5 +461,207 @@ def test_cx1_filtration_generic_class_tower():
     m = cons.point_module(3, xi, P)
     tower = cons.universal_extension(m, m)[0].middle
     layers = cons.cx1_filtration(tower, seed=0)
-    want = cons._normalize_form(xi, P)
+    want = _normalize_form(xi, P)
     assert layers == [(want, 0)] * 3
+
+
+# The seeded search that found each layer's point class before the closed
+# form, kept as the oracle: bodies and trial counts unchanged.
+POINT_CLASS_TRIALS = 64
+
+
+def _find_point_class_by_search(layer: gmod.GradedModule, seed: int) -> np.ndarray | None:
+    """A nonzero form candidate annihilating the bottom factor of a layer."""
+    p = layer.p
+    d0 = layer.min_deg
+    t = layer.dim(d0)
+    rng = np.random.default_rng(seed)
+    candidates = [np.eye(t, dtype=np.int64)[k] for k in range(t)]
+    for _ in range(POINT_CLASS_TRIALS):
+        candidates.append(rng.integers(0, p, t, dtype=np.int64))
+    stacked = [layer.action(i, d0) for i in range(layer.n_plus_1)]
+    for w in candidates:
+        if not w.any():
+            continue
+        mat = np.stack([la.matmul_mod(w.reshape(1, -1), a, p).ravel() for a in stacked])
+        ker = la.kernel_basis(mat.T, p)
+        if ker.dim == 1:
+            return ker.basis[0]
+    return None
+
+
+def _normalize_form(v: np.ndarray, p: int) -> tuple[int, ...]:
+    nz = np.nonzero(v)[0]
+    scale = la.inv_mod(int(v[nz[0]]), p)
+    return tuple(int(x * scale % p) for x in v)
+
+
+def _peel_point_layers(layer: gmod.GradedModule, xi: np.ndarray, seed: int) -> int | None:
+    """Count the point-module factors of a single-generation-degree layer.
+
+    Every factor must be the point module of xi sitting in the layer's own
+    generation degree; a cyclic submodule killed by xi with the full 2^n
+    dimension profile is such a copy, and peeling it keeps the layer in
+    the same class.
+    """
+    p = layer.p
+    n = layer.n_plus_1 - 1
+    g = layer.min_deg
+    cur = layer
+    count = 0
+    rng = np.random.default_rng(seed + 1)
+    while not cur.is_zero():
+        d0 = cur.min_deg
+        if d0 != g:
+            return None
+        ker = la.left_kernel_basis(cur.form_action(xi, d0), p)
+        candidates = list(ker.basis)
+        for _ in range(16):
+            if ker.dim:
+                c = rng.integers(0, p, ker.dim, dtype=np.int64)
+                candidates.append(la.matmul_mod(c.reshape(1, -1), ker.basis, p).ravel())
+        found = False
+        for w in candidates:
+            if not w.any():
+                continue
+            sub, _, quot, _ = gmod.sub_quotient(cur, [(d0, w)])
+            if sub.total_dim == 2 ** n and all(
+                sub.dim(d0 + j) == comb(n, j) for j in range(n + 1)
+            ):
+                cur = quot
+                count += 1
+                found = True
+                break
+        if not found:
+            return None
+    return count
+
+
+def cx1_filtration_by_search(m: gmod.GradedModule, seed: int = 0) -> list[tuple[tuple[int, ...], int]]:
+    cx = m.n_plus_1 - len(homology.regular_sequence(m, seed=seed))
+    if cx != 1:
+        raise cons.NotComplexityOne(f"regular-sequence complexity is {cx}")
+    out: list[tuple[tuple[int, ...], int]] = []
+    cur = m
+    while not cur.is_zero():
+        layer, _, rest, _ = homology.lowest_step(cur)
+        g = layer.min_deg
+        xi = _find_point_class_by_search(layer, seed)
+        count = _peel_point_layers(layer, xi, seed) if xi is not None else None
+        if count is None:
+            raise cons.NotComplexityOne("a layer is not an iterated extension of one point class")
+        out.extend([(_normalize_form(xi, m.p), -g)] * count)
+        if rest.dims == cur.dims:
+            raise cons.NotComplexityOne("layer peeling made no progress")
+        cur = rest
+    return out
+
+
+def outcome(filtration, m):
+    """The factors, or the message of the NotComplexityOne raised."""
+    try:
+        return filtration(m)
+    except cons.NotComplexityOne as bad:
+        return str(bad)
+
+
+def random_invertible(rng, k, p):
+    """A random invertible k x k matrix over F_p and its inverse."""
+    eye = np.eye(k, dtype=np.int64)
+    while True:
+        s = rng.integers(0, p, (k, k), dtype=np.int64)
+        red = la.rref(np.hstack([s, eye]), p)[1]
+        if np.array_equal(red[:, :k], eye):
+            return s, red[:, k:]
+
+
+def twist(m, seed):
+    """m with its variables changed by a random invertible substitution."""
+    return gmod.transport(m, random_invertible(np.random.default_rng(seed), m.n_plus_1, m.p)[0])
+
+
+def change_basis(m, seed):
+    """The same module in another basis: the rows of a random invertible S_d
+    are the new basis of degree d, so x_i acts by S_d A S_(d+1)^(-1)."""
+    rng = np.random.default_rng(seed)
+    s = {d: random_invertible(rng, m.dim(d), m.p) for d in m.degrees}
+    actions = [
+        {d: la.matmul_mod(la.matmul_mod(s[d][0], a, m.p), s[d + 1][1], m.p) for d, a in acts.items()}
+        for acts in m.actions
+    ]
+    return gmod.GradedModule(m.n_plus_1, m.p, m.dims, actions)
+
+
+XI = np.array([3, 1, 4], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def filtration_battery(p):
+    """Point modules, both P^(d) constructions up to n = 4 and P^(6) over
+    two variables, almost-split middles, the universal tower and the
+    realized self-extensions over XI, direct sums, and modules of
+    complexity other than one."""
+    mods = []
+    for n1 in range(2, 6):
+        eye = np.eye(n1, dtype=np.int64)
+        for form in (eye[0], eye[-1], np.arange(1, n1 + 1), eye[1] + 2 * eye[-1]):
+            mods.append(cons.point_module(n1, form, p))
+    for n in range(1, 5):
+        for d in range(1, 4):
+            mods += [cons.filtration_projective(n, d, p), cons.filtration_projective_explicit(n, d, p)]
+    # at p = 5, P^(2) over five variables has five generators, and P^(6)
+    # over two has x_0 = B x_1 with B one nilpotent Jordan block of size 6,
+    # which only the power q = 25 clears
+    mods.append(cons.filtration_projective(1, 6, p))
+    for n in range(1, 4):
+        for form in (x0(n + 1), np.resize(XI, n + 1)):
+            mods.append(cons.ar_sequence_middle(n, p, form).middle)
+    m = cons.point_module(3, XI, p)
+    mods.append(cons.universal_extension(m, m)[0].middle)
+    mods += [cons.realize_ext(c).middle for c in cons.ext_class_basis(m, m)]
+    pd2 = cons.filtration_projective(2, 2, p)
+    e = gmod.free_module(3, p, [0])
+    mods += [
+        gmod.direct_sum(m, m)[0],
+        gmod.direct_sum(m, gmod.shift(m, 2))[0],
+        gmod.direct_sum(pd2, gmod.shift(pd2, -1))[0],
+        gmod.simple_module(3, p),
+        e,
+        gmod.square_truncate(e),
+    ]
+    mods += [cons.kronecker_family(i, j, p) for i in range(-2, 3) for j in (0, 1)]
+    return mods
+
+
+@lru_cache(maxsize=None)
+def negative_battery(p):
+    """Distinct point classes side by side in one degree, and sub- and
+    quotient modules cut out by random vectors."""
+    rng = np.random.default_rng(p)
+    eye = np.eye(3, dtype=np.int64)
+    points = [cons.point_module(3, f, p) for f in (eye[0], eye[1], eye[0] + eye[1], XI)]
+    mods = [gmod.direct_sum(a, b)[0] for a, b in combinations(points, 2)]
+    mods.append(gmod.direct_sum(cons.filtration_projective(2, 2, p), points[3])[0])
+    tower = cons.universal_extension(points[3], points[3])[0].middle
+    for m in (cons.filtration_projective(2, 3, p), cons.ar_sequence_middle(2, p, XI).middle, tower):
+        for d in (m.min_deg, m.min_deg + 1):
+            sub, _, quot, _ = gmod.sub_quotient(m, [(d, rng.integers(0, p, m.dim(d), dtype=np.int64))])
+            mods += [sub, quot]
+    return mods
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+def test_cx1_filtration_matches_the_search_oracle(p):
+    inputs = [v for k, m in enumerate(filtration_battery(p)) for v in (m, twist(m, k))]
+    inputs += negative_battery(p)
+    got = [outcome(cons.cx1_filtration, m) for m in inputs]
+    assert got == [outcome(cx1_filtration_by_search, m) for m in inputs]
+    accepted = [g for g in got if isinstance(g, list)]
+    layer_rejections = got.count("a layer is not an iterated extension of one point class")
+    assert len(accepted) > 50 and layer_rejections >= 6
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+def test_cx1_filtration_does_not_depend_on_the_basis(p):
+    for k, m in enumerate(filtration_battery(p) + negative_battery(p)):
+        assert outcome(cons.cx1_filtration, change_basis(m, k)) == outcome(cons.cx1_filtration, m)

@@ -10,6 +10,7 @@ from exalg.gmod import GradedModule
 from exalg.homalg import _coords
 from exalg.linalg import Subspace, subspace_from_rows, zero_subspace
 from test_gmod import hom_maps, random_structured_module
+from test_linalg import full_subspace
 
 P = la.DEFAULT_PRIME
 
@@ -301,7 +302,7 @@ def elementwise_radical_filtration(dim, p, mult):
         dtype=np.int64,
     ).reshape(dim, dim)
     rad = la.kernel_basis(gram, p)
-    out = [la.full_subspace(dim, p), rad]
+    out = [full_subspace(dim, p), rad]
     while out[-1].dim and len(out) <= dim + 1:
         rows = [algebra_product(mult, u, v, p) for u in rad.basis for v in out[-1].basis]
         out.append(la.subspace_from_rows(np.array(rows).reshape(len(rows), dim), dim, p))

@@ -8,9 +8,9 @@ from exalg import exterior as ext
 from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
 from exalg.gmod import GradedModule, ModuleMap
-from exalg.linalg import full_subspace, matmul_mod, subspace_from_rows, zero_subspace
+from exalg.linalg import matmul_mod, subspace_from_rows, zero_subspace
 from test_gmod import random_structured_module
-from test_linalg import subspace_intersection
+from test_linalg import full_subspace, subspace_intersection
 
 P = la.DEFAULT_PRIME
 

@@ -23,6 +23,10 @@ def random_matrix(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.
     return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
 
 
+def full_subspace(ambient: int, p: int) -> Subspace:
+    return Subspace(ambient, la.identity(ambient), p)
+
+
 def subspace_sum(u: la.Subspace, w: la.Subspace) -> la.Subspace:
     if u.ambient != w.ambient:
         raise la.DimensionMismatch("subspace ambient mismatch")
@@ -262,6 +266,26 @@ def test_kernel_of_row_vector():
     assert la.coords_in_rref_basis([[0, 0, 1]], k) is not None
     assert la.coords_in_rref_basis([[1, 0, 0]], k) is None
 
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (3, 5), (5, 3), (200, 150)])
+def test_kernel_basis_of_empty_and_full_rank_matrices(rows, cols):
+    # no row, no column, or full rank: the one elimination covers them all
+    rng = np.random.default_rng(rows * 1000 + cols)
+    for p in (5, P):
+        while True:
+            a = random_matrix(rng, rows, cols, p)
+            if la.rref(a, p)[0] == min(rows, cols):
+                break
+        k = la.kernel_basis(a, p)
+        if rows == 0:
+            assert k == full_subspace(cols, p)
+        elif rows >= cols:
+            assert k == zero_subspace(cols, p)
+        else:
+            assert k == la.subspace_from_rows(k.basis, cols, p)
+            assert k.dim == cols - rows
+            assert not la.matmul_mod(a, k.basis.T, p).any()
 
 
 @pytest.mark.parametrize("rows,cols", [(7, 9), (12, 5), (150, 130)])
