@@ -472,6 +472,67 @@ def test_cli_module_operations_pinned(construct, command, tmp_path, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MODULE_OP_SHA256[(construct, command)]
 
 
+# exit code and sha256 of the stdout of `exalg argv`, each module name in
+# argv standing for a file written from FILE_MODULES.  Recorded before the
+# special cases for zero modules, empty matrices and zero-size blocks in
+# linalg, gmod, homology, constructions and homalg were left to the general
+# code paths; the last two are the text forms of complexity and filter.
+FILE_MODULES = {
+    "zero": lambda: gmod.zero_module(3, P),
+    "point": lambda: cons.point_module(3, np.array([1, 0, 0]), P),
+    "free02": lambda: gmod.free_module(3, P, [0, 2]),
+    "xxi": lambda: cons.ar_sequence_middle(2, P).middle,
+}
+FILE_OP_SHA256 = {
+    ("betti", "zero", "--json"): (
+        0, "11d21aaeb955e5e063fe28dee43fb96c6579ae3d1295a300d173c67fd4b50fe6"
+    ),
+    ("complexity", "zero", "--json"): (
+        0, "09787f7c9c30db234a392e9ac73361fa92a98e750de88a2b095eddc3d9a47e85"
+    ),
+    ("end", "zero", "--json"): (
+        0, "89c07cf77aabfeeb33dcc99f8d363f26dea3e1b17c8e9bdc7643aa8f79d5c0d9"
+    ),
+    ("hom", "zero", "point", "--json"): (
+        0, "a1ebba4fe457e7a4c635ab2248e262b985a280cd9fab55b16dbea3943babf280"
+    ),
+    ("hom", "point", "zero", "--json"): (
+        0, "a1ebba4fe457e7a4c635ab2248e262b985a280cd9fab55b16dbea3943babf280"
+    ),
+    ("ext", "zero", "point"): (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    ("ext", "point", "zero"): (
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    ),
+    ("tensor", "zero", "point"): (
+        0, "4a109c4d15fe611640184430caf765cf33c632d4e2db7350af18149de7e2e4f9"
+    ),
+    ("tensor", "point", "zero"): (
+        0, "4a109c4d15fe611640184430caf765cf33c632d4e2db7350af18149de7e2e4f9"
+    ),
+    ("filter", "zero"): (
+        1, "0df067796f2cb50d91385c7452309e89a5750862b561252565431048ec6871c8"
+    ),
+    ("syzygy", "free02", "-k", "2"): (
+        0, "4a109c4d15fe611640184430caf765cf33c632d4e2db7350af18149de7e2e4f9"
+    ),
+    ("complexity", "xxi"): (
+        0, "0177bd58e0191c641dde628161ab7ea00252571c4b580100dcb09e77f8d1440b"
+    ),
+    ("filter", "xxi"): (
+        0, "139edea0862b954f2571fd409be9e2004cbc8da03c9af1ec725a76ac590fdd9a"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FILE_OP_SHA256))
+def test_cli_file_operations_pinned(argv, tmp_path, capsys):
+    args = [write_module(tmp_path, f"{a}.json", FILE_MODULES[a]()) if a in FILE_MODULES else a for a in argv]
+    code, out, _ = run_cli(args, capsys=capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == FILE_OP_SHA256[argv]
+
+
 @pytest.mark.parametrize("suite", ["pd", "eisenbud", "relative"])
 def test_cli_verify_rejects_n_zero(suite, capsys):
     code, out, err = run_cli(["verify", "--suite", suite, "--n", "0"], capsys=capsys)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exalg import constructions as cons
-from exalg import exterior, gmod, homalg, homology
+from exalg import exterior, gmod, homalg, homology, modfile
 from exalg import linalg as la
 from test_linalg import reduce_mod_subspace
 
@@ -155,6 +155,17 @@ def test_tensor_with_zero():
     m = cons.point_module(3, x0(3), P)
     z = gmod.zero_module(3, P)
     assert cons.tensor(m, z).is_zero()
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_span_quotient_of_no_forms_and_tensor_with_zero(n1):
+    free = gmod.free_module(n1, P, [0])
+    for forms in ([], np.zeros((0, n1), dtype=np.int64)):
+        assert modfile.serialize(cons.span_quotient(n1, forms, P)) == modfile.serialize(free)
+    z = gmod.zero_module(n1, P)
+    for m in (z, free, cons.point_module(n1, x0(n1), P)):
+        assert cons.tensor(m, z) == z
+        assert cons.tensor(z, m) == z
 
 
 def test_tensor_dims_multiply():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exalg import constructions as cons
-from exalg import gmod, homalg
+from exalg import gmod, homalg, verify
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
@@ -251,13 +251,23 @@ def test_iso_probable_detects_dimension_mismatch():
 
 
 def test_iso_probable_zero_hom_witness():
-    a = gmod.simple_module(2, P, 0)
+    # a uniserial module vs the semisimple one in matching degrees: every map
+    # kills degree 1, so Hom is nonzero and no map is invertible
     b = gmod.GradedModule(2, P, {0: 1, 1: 1}, [{0: np.array([[1]])}, {}])
-    # dims differ here, so build a pair with matching dims but no maps:
-    # the semisimple module vs a uniserial one in matching degrees
     c = gmod.GradedModule(2, P, {0: 1, 1: 1}, [{}, {}])
     verdict = gmod.iso_probable(b, c, seed=1)
-    assert verdict.kind in ("NOT_ISO", "UNDECIDED")
+    assert verdict.kind == "UNDECIDED"
+
+
+def test_iso_probable_zero_hom_space_is_not_iso():
+    # point modules of distinct forms: equal dimensions and, by lemma 2.1,
+    # no nonzero map between them
+    a = cons.point_module(3, np.array([1, 0, 0]), P)
+    b = cons.point_module(3, np.array([0, 1, 0]), P)
+    assert a.dims == b.dims
+    verdict = gmod.iso_probable(a, b)
+    assert (verdict.kind, verdict.witness) == ("NOT_ISO", "Hom space is zero")
+    assert verify._iso_kind(a, b, 0) == ("NOT_ISO", {"witness": "Hom space is zero"})
 
 
 def hom_space_dense(a, b):
@@ -467,3 +477,17 @@ def test_validate_multiplies_only_stored_blocks(monkeypatch):
     m = gmod.GradedModule(3, P, {0: 64, 1: 64, 2: 64}, [{}, {}, {}])
     assert gmod.validate(m) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_free_module_radical_layers(n1):
+    assert gmod.free_module(n1, P, []) == gmod.zero_module(n1, P)
+    f = gmod.free_module(n1, P, [0, 0, 2])
+    gens = {0: 2, 2: 1}
+    rad = gmod.radical_subspaces(f)
+    assert sorted(rad) == f.degrees
+    for d, s in rad.items():
+        assert (s.ambient, s.dim) == (f.dim(d), f.dim(d) - gens.get(d, 0))
+    # m·J is J applied to the whole of m
+    assert rad == gmod.radical_image(f, {d: la.Subspace(k, la.identity(k), P) for d, k in f.dims.items()})
+    assert gmod.radical_image(f, {}) == {d: la.zero_subspace(k, P) for d, k in f.dims.items()}

@@ -354,6 +354,24 @@ def test_truncated_poly_fingerprint_scalar_case():
     assert not homalg.truncated_poly_fingerprint(alg, 2, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncated_poly_fingerprint_edge_algebras(n):
+    k = gmod.simple_module(n + 1, P)
+    matrices = homalg.end_algebra(gmod.direct_sum(k, k)[0])  # M_2(k)
+    assert not matrices.is_commutative()
+    nothing = homalg.end_algebra(gmod.zero_module(n + 1, P))
+    for order in (1, 2, 3, 4):
+        assert not homalg.truncated_poly_fingerprint(matrices, n, order)
+        assert not homalg.truncated_poly_fingerprint(nothing, n, order)
+    # End(P^(d)) is the truncated polynomial algebra of order d, whose radical
+    # filtration is shorter than order + 1 terms for every larger order
+    for d in (1, 2, 3, 4):
+        alg = homalg.end_algebra(cons.filtration_projective_explicit(n, d, P))
+        assert [homalg.truncated_poly_fingerprint(alg, n, order) for order in (1, 2, 3, 4)] == [
+            order == d for order in (1, 2, 3, 4)
+        ]
+
+
 def test_ext1_square_zero_simple_pair():
     s0 = gmod.simple_module(2, P, 0)
     s1 = gmod.simple_module(2, P, 1)

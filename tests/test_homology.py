@@ -452,6 +452,23 @@ def test_weakly_koszul_semisimple_mixed_degrees():
     assert homology.is_weakly_koszul(total, 6)
 
 
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_zero_module_cover_and_regular_forms(n1):
+    z = gmod.zero_module(n1, P)
+    cover, epi = homology.projective_cover(z)
+    assert cover == z
+    assert (epi.source, epi.target, epi.blocks) == (cover, z, {})
+    for form in np.eye(n1, dtype=np.int64):
+        assert homology.regular_element_test(z, form)
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_weakly_koszul_free_and_point_modules(n1):
+    # each is generated in one degree, so one layer is the whole module
+    assert homology.is_weakly_koszul(gmod.free_module(n1, P, [0]))
+    assert homology.is_weakly_koszul(point_module(n1))
+
+
 def test_syzygy_generation_degrees_shift_by_one():
     m = point_module(3)
     total, _, _ = gmod.direct_sum(m, gmod.shift(m, -1))

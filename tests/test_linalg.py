@@ -27,6 +27,32 @@ def full_subspace(ambient: int, p: int) -> Subspace:
     return Subspace(ambient, la.identity(ambient), p)
 
 
+def is_prime_miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin for word-sized moduli."""
+    if n < 2:
+        return False
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in small:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in small:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def subspace_sum(u: la.Subspace, w: la.Subspace) -> la.Subspace:
     if u.ambient != w.ambient:
         raise la.DimensionMismatch("subspace ambient mismatch")
@@ -230,6 +256,12 @@ def test_matmul_mod_exactness_and_chunking():
         la.check_prime(94906297)  # the first prime above MAX_PRIME
     with pytest.raises(ValueError, match="MAX_PRIME"):
         la.matmul_mod(a3, b3, 2**31 - 1)
+
+
+def test_is_prime_matches_miller_rabin():
+    # every n below 2·10^5 and the 20001 largest n that check_prime accepts
+    window = [*range(200_000), *range(la.MAX_PRIME - 20_000, la.MAX_PRIME + 1)]
+    assert [n for n in window if la.is_prime(n) != is_prime_miller_rabin(n)] == []
 
 
 @pytest.mark.parametrize("p", [5, 32003, 65537, MID_PRIME, 94906249])
