@@ -64,8 +64,6 @@ def span_quotient(n_plus_1: int, forms, p: int) -> GradedModule:
         raise ValueError(f"forms must be rows of {n_plus_1} coefficients, got shape {mat.shape}")
     mat = mat.reshape(-1, n_plus_1)
     k = mat.shape[0]
-    if k == 0:
-        return gmod.free_module(n_plus_1, p, [0])
     if rref(mat, p)[0] != k:
         raise DependentForms("the given linear forms are dependent")
     base = _coordinate_span_quotient(n_plus_1, p, k)
@@ -100,8 +98,6 @@ def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
     """
     gmod._check_compatible(m, n)
     p = m.p
-    if m.is_zero() or n.is_zero():
-        return gmod.zero_module(m.n_plus_1, p)
     pairs: dict[int, list[tuple[int, int]]] = {}
     for k in sorted({i + j for i in m.degrees for j in n.degrees}):
         row = [(i, k - i) for i in m.degrees if n.dim(k - i)]
@@ -217,7 +213,7 @@ def universal_extension(x: GradedModule, m: GradedModule):
     base = classes[0]
     stacked_blocks = {}
     for d in base.syz.degrees:
-        stacked_blocks[d] = np.hstack([c.cocycle.block(d) for c in classes]) if power.dim(d) else zeros(base.syz.dim(d), 0)
+        stacked_blocks[d] = np.hstack([c.cocycle.block(d) for c in classes])
     cocycle = ModuleMap(base.syz, power, stacked_blocks)
     combined = ExtClass(x, power, base.syz, base.syz_incl, base.cover, base.epi, cocycle)
     return realize_ext(combined), classes

@@ -194,8 +194,7 @@ def map_compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     p = f.source.p
     blocks = {}
     for d in f.source.dims:
-        if g.target.dim(d):
-            blocks[d] = matmul_mod(f.block(d), g.block(d), p)
+        blocks[d] = matmul_mod(f.block(d), g.block(d), p)
     return ModuleMap(f.source, g.target, blocks)
 
 
@@ -217,8 +216,6 @@ def zero_module(n_plus_1: int, p: int) -> GradedModule:
 def free_module(n_plus_1: int, p: int, generator_degrees) -> GradedModule:
     """Direct sum of one rank-one free module per listed generator degree."""
     gens = sorted(int(g) for g in generator_degrees)
-    if not gens:
-        return zero_module(n_plus_1, p)
     gen_mats = exterior.generator_matrices(n_plus_1, p)
     dims: dict[int, int] = {}
     for g in gens:
@@ -227,11 +224,7 @@ def free_module(n_plus_1: int, p: int, generator_degrees) -> GradedModule:
     actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
     for i in range(n_plus_1):
         for d in sorted(dims):
-            rows = dims.get(d, 0)
-            cols = dims.get(d + 1, 0)
-            if not rows or not cols:
-                continue
-            mat = zeros(rows, cols)
+            mat = zeros(dims[d], dims.get(d + 1, 0))
             r0 = 0
             c0 = 0
             for g in gens:
@@ -330,8 +323,7 @@ def transport(m: GradedModule, a: np.ndarray) -> GradedModule:
     actions: list[dict[int, np.ndarray]] = [{} for _ in range(m.n_plus_1)]
     for i in range(m.n_plus_1):
         for d in m.degrees:
-            if m.dim(d) and m.dim(d + 1):
-                actions[i][d] = m.form_action(a[i], d)
+            actions[i][d] = m.form_action(a[i], d)
     return GradedModule(m.n_plus_1, m.p, dict(m.dims), actions)
 
 
@@ -489,19 +481,10 @@ def sub_quotient(m: GradedModule, generators: list[tuple[int, np.ndarray]]):
 
 def radical_subspaces(m: GradedModule) -> dict[int, Subspace]:
     """The graded radical m·J as one subspace per degree."""
-    p = m.p
-    out: dict[int, Subspace] = {}
-    for d in m.degrees:
-        rows = []
-        prev = m.dim(d - 1)
-        if prev:
-            for i in range(m.n_plus_1):
-                rows.append(m.action(i, d - 1))
-        if rows:
-            out[d] = subspace_from_rows(np.vstack(rows), m.dim(d), p)
-        else:
-            out[d] = zero_subspace(m.dim(d), p)
-    return out
+    return {
+        d: subspace_from_rows(np.vstack([m.action(i, d - 1) for i in range(m.n_plus_1)]), m.dim(d), m.p)
+        for d in m.degrees
+    }
 
 
 def socle(m: GradedModule) -> dict[int, Subspace]:
@@ -529,12 +512,9 @@ def radical_image(m: GradedModule, spans: dict[int, Subspace]) -> dict[int, Subs
     p = m.p
     out: dict[int, Subspace] = {}
     for d in m.degrees:
-        prev = spans.get(d - 1)
-        if prev is not None and prev.dim:
-            rows = np.vstack([matmul_mod(prev.basis, m.action(i, d - 1), p) for i in range(m.n_plus_1)])
-            out[d] = subspace_from_rows(rows, m.dim(d), p)
-        else:
-            out[d] = zero_subspace(m.dim(d), p)
+        prev = spans.get(d - 1, zero_subspace(m.dim(d - 1), p)).basis
+        rows = np.vstack([matmul_mod(prev, m.action(i, d - 1), p) for i in range(m.n_plus_1)])
+        out[d] = subspace_from_rows(rows, m.dim(d), p)
     return out
 
 

@@ -173,11 +173,10 @@ def algebra_radical_subspace(dim: int, p: int, mult: np.ndarray) -> Subspace:
     gram = matmul_mod(flat, mult.transpose(0, 2, 1).reshape(dim, dim * dim).T, p)
     rad = kernel_basis(gram, p)
     # two-sided ideal check: row (r, k) of the products is e_k * r, then r * e_k
-    if rad.dim:
-        left = matmul_mod(rad.basis, mult.transpose(1, 0, 2).reshape(dim, dim * dim), p)
-        right = matmul_mod(rad.basis, flat, p)
-        if coords_in_rref_basis(np.vstack([left, right]).reshape(-1, dim), rad) is None:
-            raise ValueError("trace-form radical is not an ideal")
+    left = matmul_mod(rad.basis, mult.transpose(1, 0, 2).reshape(dim, dim * dim), p)
+    right = matmul_mod(rad.basis, flat, p)
+    if coords_in_rref_basis(np.vstack([left, right]).reshape(-1, dim), rad) is None:
+        raise ValueError("trace-form radical is not an ideal")
     # nilpotency check happens while building the filtration
     return rad
 
@@ -238,15 +237,9 @@ def truncated_poly_fingerprint(a: FiniteAlgebra, n: int, d: int) -> bool:
     if not a.is_commutative():
         return False
     expected_dims = [sum(comb(n + j - 1, j) for j in range(s, d)) for s in range(d + 1)]
-    if a.dim != expected_dims[0]:
-        return False
+    # the filtration ends at the zero ideal, so it continues with zeros
     fil_dims = [s.dim for s in a.rad_filtration]
-    while len(fil_dims) < d + 1:
-        fil_dims.append(fil_dims[-1])
-    for s in range(d + 1):
-        if fil_dims[s] != expected_dims[s]:
-            return False
-    return fil_dims[d] == 0
+    return fil_dims[: d + 1] + [0] * (d + 1 - len(fil_dims)) == expected_dims
 
 
 # -- extensions over the radical-square-zero truncation ----------------------

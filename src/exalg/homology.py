@@ -80,9 +80,6 @@ def projective_cover(
     """
     if gens is None:
         gens = gmod.top_generators(m)
-    if not gens:
-        z = gmod.zero_module(m.n_plus_1, m.p)
-        return z, gmod.zero_map(z, m)
     degrees = [d for d, _ in gens]
     cover = gmod.free_module(m.n_plus_1, m.p, degrees)
     epi = free_map_from_generators(cover, degrees, m, [v for _, v in gens])
@@ -340,8 +337,6 @@ def is_weakly_koszul(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
             return False
         if not is_relative_sub(cur, incl):
             return False
-        if sub.dims == cur.dims:
-            return True
         cur = quot
     return True
 
@@ -351,12 +346,10 @@ def regular_element_test(m: GradedModule, form) -> bool:
     form = np.asarray(form, dtype=np.int64) % m.p
     if not form.any():
         raise ValueError("the zero form is never regular")
-    if m.is_zero():
-        return True
     img_rank = 0  # the image in degree d, zero below a gap in the degrees
     for d in m.degrees:
         cur = m.form_action(form, d)
-        cur_rank = rref(cur, m.p)[0] if cur.size else 0
+        cur_rank = rref(cur, m.p)[0]
         if m.dim(d) - cur_rank != img_rank:
             return False
         img_rank = cur_rank
