@@ -61,6 +61,10 @@ REPORT_SHA256 = {
     # complex; every check PASSes
     ("examples", 6): "d4f2de54d582f290535f568604d9772b225f857ada6f117452c7f028bbbbc0b6",
     ("cor2.2", 6): "b9c3a718af1cb3c8e9d580747c78cb754281c0f4d0e0842a129b93f461b7c1ae",
+    # n=7 and 8, recorded while every Gamma_j was built from exponent
+    # vectors; every check PASSes
+    ("examples", 7): "af2e600d184b250654e248de13348cc096fde9759a38444cc30b40fffb05b083",
+    ("examples", 8): "6873574fa8ddab614874b8e012154861fa44be77df62dfd38c8fb3893e93604b",
 }
 
 
@@ -214,6 +218,14 @@ def test_lemma27_suite_at_n5():
 @pytest.mark.parametrize("name", [name for name, n in REPORT_SHA256 if n == 6])
 def test_verify_report_pinned_at_n6(name):
     total, bad = _suites_pass((name, 6))
+    assert total and not bad, [c.check_id for c in bad]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_examples_suite_pinned_at_n7_and_n8(n):
+    # depth 2n+2 = 16 and 18; the largest modules are one degree deep, so
+    # their rows are binomials and no Cartan differential is built
+    total, bad = _suites_pass(("examples", n))
     assert total and not bad, [c.check_id for c in bad]
 
 
