@@ -44,6 +44,11 @@ def algebra_dim(n_plus_1: int, degree: int) -> int:
     return comb(n_plus_1, degree) if 0 <= degree <= n_plus_1 else 0
 
 
+def multiset_count(letters: int, size: int) -> int:
+    """Degree-size monomials in commuting letters, as combinations_with_replacement counts them."""
+    return comb(max(letters + size - 1, 0), size)
+
+
 def generator_matrices(n_plus_1: int, p: int) -> list[list[np.ndarray]]:
     """Right multiplication by each x_i on E in its monomial basis, per degree.
 

@@ -21,11 +21,10 @@ are built only where a composite or a caller needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from . import gmod, homology
+from . import exterior, gmod, homology
 from .gmod import GradedModule, ModuleMap
 from .linalg import (
     Subspace,
@@ -236,7 +235,7 @@ def truncated_poly_fingerprint(a: FiniteAlgebra, n: int, d: int) -> bool:
         raise ValueError("order must be at least 1")
     if not a.is_commutative():
         return False
-    expected_dims = [sum(comb(n + j - 1, j) for j in range(s, d)) for s in range(d + 1)]
+    expected_dims = [sum(exterior.multiset_count(n, j) for j in range(s, d)) for s in range(d + 1)]
     # the filtration ends at the zero ideal, so it continues with zeros
     fil_dims = [s.dim for s in a.rad_filtration]
     return fil_dims[: d + 1] + [0] * (d + 1 - len(fil_dims)) == expected_dims

@@ -9,8 +9,8 @@ construction and syzygies never acquire free summands.
 
 Betti tables build no syzygy: Tor^E_i(M, k) is the homology of the
 Cartan complex M ⊗ Gamma_i(V), whose basis is the divided-power monomials
-y^(a) with |a| = i and whose differential sends v ⊗ y^(a) to
-sum_l v·x_l ⊗ y^(a - e_l).  Every coefficient is 1, so E ⊗ Gamma(V)
+y^(a), a a multiset of i letters, and whose differential sends v ⊗ y^(a)
+to sum_l v·x_l ⊗ y^(a - e_l).  Every coefficient is 1, so E ⊗ Gamma(V)
 resolves k in every characteristic; with symmetric powers the coefficients
 a_l vanish mod p once an exponent reaches p.  minimal_resolution first
 changes rings: a regular sequence of linear forms is dropped, so M is
@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from . import gmod
+from . import exterior, gmod
 from .gmod import GradedModule, ModuleMap
 from .linalg import (
     Subspace,
@@ -195,29 +195,27 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _divided_powers(n_plus_1: int, i: int) -> list[tuple[int, ...]]:
-    """Exponent vectors a with |a| = i: the basis y^(a) of Gamma_i."""
-    monomials = combinations_with_replacement(range(n_plus_1), i)
-    return [tuple(mon.count(x) for x in range(n_plus_1)) for mon in monomials]
+def _gamma_pattern(n_plus_1: int, j: int) -> list[np.ndarray]:
+    """Per variable l, the rows (positions of the y^(a) in Gamma_j with a_l > 0,
+    of their y^(a - e_l) in Gamma_{j-1}); a is the multiset of its letters, a
+    sorted tuple from combinations_with_replacement, so a - e_l drops one l."""
+    lower = {a: k for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j - 1))}
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n_plus_1)]
+    for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j)):
+        for l in set(a):
+            pairs[l].append((k, lower[a[: a.index(l)] + a[a.index(l) + 1 :]]))
+    return [np.array(p).T for p in pairs]
 
 
-def _cartan_differential(
-    m: GradedModule, s: int, gamma: list[tuple[int, ...]], lower: dict[tuple[int, ...], int]
-) -> np.ndarray:
-    """d on M_s ⊗ Gamma_i -> M_{s+1} ⊗ Gamma_{i-1}: v ⊗ y^(a) goes to
-    sum_l v·x_l ⊗ y^(a - e_l), so block (a, a - e_l) is x_l's action.
-
-    Rows are indexed (a, basis of M_s), columns (b, basis of M_{s+1});
-    lower maps the exponent vectors of Gamma_{i-1} to their positions.
-    """
-    r, c = m.dim(s), m.dim(s + 1)
-    out = zeros(len(gamma) * r, len(lower) * c)
-    blocks = out.reshape(len(gamma), r, len(lower), c)
-    for x in range(m.n_plus_1):
-        src = [k for k, a in enumerate(gamma) if a[x]]
-        dst = [lower[a[:x] + (a[x] - 1,) + a[x + 1 :]] for a in gamma if a[x]]
+def _cartan_differential(m: GradedModule, s: int, j: int, pattern) -> np.ndarray:
+    """d on M_s ⊗ Gamma_j -> M_{s+1} ⊗ Gamma_{j-1}: v ⊗ y^(a) goes to
+    sum_l v·x_l ⊗ y^(a - e_l), so block (a, a - e_l) of _gamma_pattern(n_plus_1, j)
+    is x_l's action.  Rows are indexed (a, basis of M_s), columns (b, basis of M_{s+1})."""
+    sizes = [exterior.multiset_count(m.n_plus_1, i) for i in (j, j - 1)]
+    blocks = np.zeros((sizes[0], m.dim(s), sizes[1], m.dim(s + 1)), dtype=np.int64)
+    for x, (src, dst) in enumerate(pattern):
         blocks[src, :, dst, :] = m.action(x, s)
-    return out
+    return blocks.reshape(sizes[0] * m.dim(s), -1)
 
 
 def _cartan_rows(m: GradedModule, depth: int) -> list[list[int]]:
@@ -225,22 +223,19 @@ def _cartan_rows(m: GradedModule, depth: int) -> list[list[int]]:
 
     beta_{i,t} = dim C_i(t) - rank d_i(t) - rank d_{i+1}(t) with
     C_i(t) = M_{t-i} ⊗ Gamma_i; each differential's rank is computed once.
+    A module in one degree has no differential, so no Gamma_j is built.
     """
-    p = m.p
-    gammas = [_divided_powers(m.n_plus_1, j) for j in range(depth + 2)]
+    steps = [s for s in m.degrees if m.dim(s + 1)]
     rank: dict[tuple[int, int], int] = {}  # (j, s): rank of d_j on M_s ⊗ Gamma_j
-    for j in range(1, depth + 2):
-        lower = {a: k for k, a in enumerate(gammas[j - 1])}
-        for s in m.degrees:
-            if m.dim(s + 1):
-                rank[j, s] = rref(_cartan_differential(m, s, gammas[j], lower), p)[0]
+    for j in range(1, depth + 2) if steps else ():
+        pattern = _gamma_pattern(m.n_plus_1, j)
+        for s in steps:
+            rank[j, s] = rref(_cartan_differential(m, s, j, pattern), m.p)[0]
     rows = []
     for i in range(depth + 1):
-        row: list[int] = []
-        for s in m.degrees:
-            beta = m.dim(s) * len(gammas[i]) - rank.get((i, s), 0) - rank.get((i + 1, s - 1), 0)
-            row += [s + i] * beta
-        rows.append(row)
+        size = exterior.multiset_count(m.n_plus_1, i)
+        beta = {s: m.dim(s) * size - rank.get((i, s), 0) - rank.get((i + 1, s - 1), 0) for s in m.degrees}
+        rows.append([s + i for s, b in beta.items() for _ in range(b)])
     return rows
 
 

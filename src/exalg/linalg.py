@@ -145,11 +145,12 @@ def _rref_small(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
         k = row + int(nz[0])
         if k != row:
             r[[row, k]] = r[[k, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
+        # left of col the pivot row is zero, so only columns col: change
+        r[row, col:] = (r[row, col:] * inv_mod(r[row, col], p)) % p
         other = np.nonzero(r[:, col])[0]
         other = other[other != row]
         if other.size:
-            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
+            r[other, col:] = (r[other, col:] - np.outer(r[other, col], r[row, col:])) % p
         pivots.append(col)
         row += 1
     return len(pivots), r, pivots

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from exalg import exterior as ext
@@ -55,6 +57,14 @@ def test_basis_sizes_sum_to_power_of_two():
         for j, b in enumerate(basis):
             assert len(b) == ext.algebra_dim(n_plus_1, j)
             assert b == sorted(b)
+
+
+def test_multiset_count_matches_enumeration():
+    # no letters: one empty monomial in degree 0 and none after
+    for letters in range(7):
+        for size in range(9):
+            want = len(list(combinations_with_replacement(range(letters), size)))
+            assert ext.multiset_count(letters, size) == want
 
 
 def algebra(n_plus_1):

@@ -372,6 +372,13 @@ def test_truncated_poly_fingerprint_edge_algebras(n):
         ]
 
 
+def test_truncated_poly_fingerprint_on_no_letters():
+    # End(k) over one variable is k, the truncated polynomial algebra on zero
+    # letters at every order
+    alg = homalg.end_algebra(gmod.simple_module(1, P))
+    assert all(homalg.truncated_poly_fingerprint(alg, 0, order) for order in (1, 2, 3, 4))
+
+
 def test_ext1_square_zero_simple_pair():
     s0 = gmod.simple_module(2, P, 0)
     s1 = gmod.simple_module(2, P, 1)

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -200,6 +201,83 @@ def cx_one_fixtures():
     out.append(("ar middle n=2 p=5", cons.ar_sequence_middle(2, 5).middle, 7))
     out.append(("kronecker i=2 p=5", cons.kronecker_family(2, 1, 5), 7))
     return out
+
+
+def divided_powers(n_plus_1, i):
+    """Exponent vectors a with |a| = i: the basis y^(a) of Gamma_i."""
+    monomials = combinations_with_replacement(range(n_plus_1), i)
+    return [tuple(mon.count(x) for x in range(n_plus_1)) for mon in monomials]
+
+
+def cartan_differential_by_exponents(m, s, gamma, lower):
+    """d on M_s ⊗ Gamma_i -> M_{s+1} ⊗ Gamma_{i-1}, variable by variable over
+    the exponent vectors gamma of Gamma_i; lower maps those of Gamma_{i-1} to
+    their positions.  The oracle for homology._cartan_differential."""
+    r, c = m.dim(s), m.dim(s + 1)
+    out = la.zeros(len(gamma) * r, len(lower) * c)
+    blocks = out.reshape(len(gamma), r, len(lower), c)
+    for x in range(m.n_plus_1):
+        src = [k for k, a in enumerate(gamma) if a[x]]
+        dst = [lower[a[:x] + (a[x] - 1,) + a[x + 1 :]] for a in gamma if a[x]]
+        blocks[src, :, dst, :] = m.action(x, s)
+    return out
+
+
+def cartan_by_exponents(m, depth):
+    """({(j, s): d_j on M_s ⊗ Gamma_j}, rows 0..depth) with every Gamma_j
+    built from exponent vectors."""
+    gammas = [divided_powers(m.n_plus_1, j) for j in range(depth + 2)]
+    diffs = {}
+    for j in range(1, depth + 2):
+        lower = {a: k for k, a in enumerate(gammas[j - 1])}
+        for s in m.degrees:
+            if m.dim(s + 1):
+                diffs[j, s] = cartan_differential_by_exponents(m, s, gammas[j], lower)
+    rank = {key: la.rref(d, m.p)[0] for key, d in diffs.items()}
+    rows = []
+    for i in range(depth + 1):
+        row = []
+        for s in m.degrees:
+            row += [s + i] * (m.dim(s) * len(gammas[i]) - rank.get((i, s), 0) - rank.get((i + 1, s - 1), 0))
+        rows.append(row)
+    return diffs, rows
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+def test_multiset_cartan_complex_matches_the_exponent_vector_oracle(twist, monkeypatch):
+    built = {}
+    real = homology._cartan_differential
+
+    def recording(m, s, j, pattern):
+        built[j, s] = real(m, s, j, pattern)
+        return built[j, s]
+
+    monkeypatch.setattr(homology, "_cartan_differential", recording)
+    for k, (name, m, depth) in enumerate(route_fixtures() + cx_one_fixtures()):
+        if twist:
+            m = twisted(m, k)
+        built.clear()
+        rows = homology._cartan_rows(m, depth)
+        want_diffs, want_rows = cartan_by_exponents(m, depth)
+        assert rows == want_rows, name
+        assert built.keys() == want_diffs.keys(), name
+        # equal differentials have equal ranks, which the rows then read
+        for key, d in want_diffs.items():
+            assert np.array_equal(built[key], d), (name, key)
+
+
+def test_module_in_one_degree_builds_no_cartan_differential(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a Cartan differential")
+
+    monkeypatch.setattr(homology, "_cartan_differential", refuse)
+    monkeypatch.setattr(homology, "_gamma_pattern", refuse)
+    k = twisted(gmod.simple_module(4, P), 0)
+    assert homology.minimal_resolution(k, 8).rows == [[i] * comb(i + 3, 3) for i in range(9)]
+    assert homology._cartan_rows(k, 8) == [[i] * comb(i + 3, 3) for i in range(9)]
+    two = gmod.direct_sum(k, k)[0]
+    assert homology._cartan_rows(two, 3) == [[i] * (2 * comb(i + 3, 3)) for i in range(4)]
+    assert homology._cartan_rows(gmod.zero_module(4, P), 3) == [[], [], [], []]
 
 
 @pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])

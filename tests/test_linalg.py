@@ -147,6 +147,23 @@ def test_rref_matches_reference_on_random():
         assert got[2] == want[2]
 
 
+def test_rref_small_matches_reference_on_rank_deficient_and_sparse():
+    # rows that vanish left of a pivot column and all-zero columns exercise
+    # the column-sliced row operations
+    rng = np.random.default_rng(22)
+    for k in range(300):
+        p = (5, P)[k % 2]
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if k % 4 < 2:
+            inner = int(rng.integers(0, min(m, n) + 1))
+            a = matmul_mod(random_matrix(rng, m, inner, p), random_matrix(rng, inner, n, p), p)
+        else:
+            a = random_matrix(rng, m, n, p) * (rng.random((m, n)) < 0.3)
+        got, want = la._rref_small(a, p), rref_reference(a, p)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
+
 def test_rref_blocked_path_matches_small_path():
     rng = np.random.default_rng(11)
     for rows, cols in [(140, 150), (150, 90), (200, 200)]:
