@@ -4,8 +4,9 @@ Command-line interface.
 Modules travel as canonical JSON (see modfile); `-` means standard
 input/output so constructions pipe into analysis commands.  The prime can
 be overridden with the EXALG_PRIME environment variable; every verify
-report embeds the prime in use.  Exit codes: 0 success/PASS, 1 FAIL,
-2 usage or input errors.
+report embeds the prime in use.  The CLI runs BLAS on one thread unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.  Exit codes: 0
+success/PASS, 1 FAIL, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import argparse
 import os
 import sys
 
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    # the CLI's small exact products gain nothing from OpenBLAS's pool, whose threads spin
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
-from . import constructions as cons
-from . import gmod, homalg, homology, modfile, verify
+from . import gmod, homology, modfile
 from .linalg import DEFAULT_PRIME, check_prime
 
 
@@ -109,6 +113,8 @@ def cmd_shift(args, p) -> int:
 
 
 def cmd_hom(args, p) -> int:
+    from . import homalg
+
     a, b = _load_module(args.a, p), _load_module(args.b, p)
     hs = homalg.hom_basis(a, b)
     if args.json:
@@ -128,18 +134,24 @@ def cmd_hom(args, p) -> int:
 
 
 def cmd_stablehom(args, p) -> int:
+    from . import homalg
+
     a, b = _load_module(args.a, p), _load_module(args.b, p)
     print(homalg.stable_hom_dim(a, b))
     return 0
 
 
 def cmd_ext(args, p) -> int:
+    from . import homalg
+
     a, b = _load_module(args.a, p), _load_module(args.b, p)
     print(homalg.ext_dim(a, b, args.k))
     return 0
 
 
 def cmd_end(args, p) -> int:
+    from . import homalg
+
     m = _load_module(args.file, p)
     alg = homalg.end_algebra(m)
     if args.json:
@@ -154,12 +166,16 @@ def cmd_end(args, p) -> int:
 
 
 def cmd_tensor(args, p) -> int:
+    from . import constructions as cons
+
     a, b = _load_module(args.a, p), _load_module(args.b, p)
     _emit_module(cons.tensor(a, b))
     return 0
 
 
 def cmd_construct(args, p) -> int:
+    from . import constructions as cons
+
     kind = args.kind
     if kind == "mxi":
         n1 = args.n + 1
@@ -186,6 +202,8 @@ def cmd_construct(args, p) -> int:
 
 
 def cmd_filter(args, p) -> int:
+    from . import constructions as cons
+
     m = _load_module(args.file, p)
     try:
         layers = cons.cx1_filtration(m, seed=args.seed)
@@ -205,6 +223,8 @@ def cmd_filter(args, p) -> int:
 
 
 def cmd_verify(args, p) -> int:
+    from . import verify
+
     checks = verify.run_suite(args.suite, n=args.n, seed=args.seed, p=p)
     data = verify.report_dict(args.suite, checks, args.n, args.seed, p)
     if args.json:
@@ -312,6 +332,8 @@ def cli_main(argv=None) -> int:
     try:
         if getattr(args, "n", 0) < 0:  # construct and verify
             raise ValueError(f"--n must be nonnegative, got {args.n}")
+        if getattr(args, "seed", 0) < 0:  # complexity, filter and verify
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.fn(args, _prime_from_env())
     except (OSError, ValueError) as bad:
         # ModuleFileError, ModulusMismatch, DependentForms and UnknownSuite included

@@ -29,16 +29,19 @@ def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
     return code, out, err
 
 
-def run_subprocess(argv, timeout=None):
-    """`python -m exalg.cli argv` in a fresh interpreter that imports the same
-    exalg as this test run, also when only pytest's pythonpath finds it."""
+def run_subprocess(argv, timeout=None, env=None):
+    """`python -m exalg.cli argv`, or `python -c code` when argv is ["-c",
+    code], in a fresh interpreter that imports the same exalg as this test
+    run, also when only pytest's pythonpath finds it."""
     src = str(Path(exalg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    head = [] if argv[0] == "-c" else ["-m", "exalg.cli"]
     return subprocess.run(
-        [sys.executable, "-m", "exalg.cli", *argv],
+        [sys.executable, *head, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         timeout=timeout,
     )
 
@@ -568,6 +571,17 @@ def test_cli_usage_errors_exit_2(argv, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["filter", "FILE", "--seed", "-1"], ["complexity", "FILE", "--seed", "-1"],
+     ["verify", "--suite", "pd", "--n", "2", "--seed", "-1"]],
+)
+def test_cli_rejects_negative_seed(argv, point_file, capsys):
+    code, out, err = run_cli([point_file if a == "FILE" else a for a in argv], capsys=capsys)
+    assert code == 2 and not out
+    assert err == "error: --seed must be nonnegative, got -1\n"
+
+
 def test_cli_kron_construct(capsys, monkeypatch):
     code, out, _ = run_cli(["construct", "kron", "--i", "1", "--j", "-1"], capsys=capsys)
     assert code == 0
@@ -663,3 +677,112 @@ def test_cli_degrees_far_apart(command, tmp_path):
         step = {"syzygy": homology.syzygy, "cosyzygy": homology.cosyzygy}.get(command)
         outs = [step(m) for m in pieces] if step else [cons.tensor(a, b) for a, b in pairs]
         assert modfile.parse(proc.stdout).dims == _merged_dims(outs)
+
+
+# -- start-up: a lazy package, one BLAS thread, per-command imports ----------
+
+BLAS_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+
+# exalg.__all__ before the package loaded its submodules on first use,
+# grouped by the module each name came from
+PUBLIC_NAMES = {
+    "linalg": ["DEFAULT_PRIME"],
+    "gmod": ["GradedModule", "ModuleMap", "direct_sum", "dual", "free_module", "iso_probable",
+             "shift", "simple_module", "socle", "square_truncate", "sub_quotient", "validate",
+             "zero_module"],
+    "homology": ["BettiTable", "ComplexityEstimate", "ar_translate", "complexity", "cosyzygy",
+                 "is_linear", "is_relative_sub", "is_weakly_koszul", "lowest_step",
+                 "minimal_resolution", "projective_cover", "regular_element_test", "syzygy"],
+    "homalg": ["FiniteAlgebra", "HomSpace", "end_algebra", "ext1_square_zero", "ext_dim",
+               "hom_basis", "is_indecomposable", "stable_hom_dim", "truncated_poly_fingerprint"],
+    "constructions": ["Extension", "ExtClass", "ar_sequence_middle", "cx1_filtration",
+                      "filtration_projective", "filtration_projective_explicit",
+                      "kronecker_family", "point_module", "realize_ext", "span_quotient",
+                      "tensor", "universal_extension"],
+}
+ALIASES = {"parse_module_file": ["modfile", "parse"], "serialize_module": ["modfile", "serialize"]}
+SUBMODULES = ["constructions", "exterior", "gmod", "homalg", "homology", "linalg", "modfile"]
+
+
+def run_fresh(code, arg, **env):
+    """Run `code` in a fresh interpreter, with `arg` as JSON in sys.argv[1]
+    and no BLAS variable set beyond `env`; return what it prints as JSON."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    proc = run_subprocess(["-c", code, json.dumps(arg)], timeout=60, env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+IMPORT_EXALG = """
+import json, os, sys
+import exalg
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("exalg."))
+print(json.dumps([loaded, [v for v in json.loads(sys.argv[1]) if v in os.environ]]))
+"""
+
+
+def test_import_exalg_loads_no_submodule_and_sets_no_blas_variable():
+    assert run_fresh(IMPORT_EXALG, BLAS_VARS) == [[], []]
+
+
+RESOLVE_NAMES = """
+import importlib, json, sys
+import exalg
+expected = json.loads(sys.argv[1])
+got = {name: getattr(exalg, name) for name in expected}
+bad = []
+for name, (mod, attr) in expected.items():
+    module = importlib.import_module("exalg." + mod)
+    if got[name] is not (module if attr is None else getattr(module, attr)):
+        bad.append(name)
+try:
+    exalg.no_such_name
+    unknown = None
+except AttributeError as err:
+    unknown = str(err)
+print(json.dumps([bad, exalg.__all__, unknown]))
+"""
+
+
+def test_every_public_name_resolves_on_first_use():
+    expected = {name: [mod, name] for mod, names in PUBLIC_NAMES.items() for name in names}
+    expected.update(ALIASES)
+    expected.update((name, [name, None]) for name in SUBMODULES)
+    assert len(expected) == 57
+    bad, public, unknown = run_fresh(RESOLVE_NAMES, expected)
+    assert bad == []
+    assert public == sorted(expected)
+    assert unknown == "module 'exalg' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize(
+    "env, want",
+    [({}, ["1", None]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", None]),
+     ({"OMP_NUM_THREADS": "2"}, [None, "2"])],
+)
+def test_cli_import_sets_one_blas_thread_unless_the_user_chose(env, want):
+    code = "import json, os, sys; import exalg.cli; " \
+           "print(json.dumps([os.environ.get(v) for v in json.loads(sys.argv[1])]))"
+    assert run_fresh(code, BLAS_VARS, **env) == want
+
+
+RUN_COMMAND = """
+import contextlib, io, json, sys
+from exalg import cli
+argv, absent = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.cli_main(argv)
+print(json.dumps([code, [m for m in absent if "exalg." + m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [(["validate", "FILE"], ["constructions", "homalg", "verify"]),
+     (["betti", "FILE", "--json"], ["constructions", "homalg", "verify"]),
+     (["hom", "FILE", "FILE"], ["constructions", "verify"]),
+     (["tensor", "FILE", "FILE"], ["verify"])],
+)
+def test_cli_command_imports_only_what_it_runs(argv, absent, point_file):
+    argv = [point_file if a == "FILE" else a for a in argv]
+    assert run_fresh(RUN_COMMAND, [argv, absent]) == [0, []]
