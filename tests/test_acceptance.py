@@ -65,6 +65,9 @@ REPORT_SHA256 = {
     # vectors; every check PASSes
     ("examples", 7): "af2e600d184b250654e248de13348cc096fde9759a38444cc30b40fffb05b083",
     ("examples", 8): "6873574fa8ddab614874b8e012154861fa44be77df62dfd38c8fb3893e93604b",
+    # recorded while is_relative_sub counted ranks of stacked radical
+    # powers; every check PASSes
+    ("relative", 5): "279441789978e14584c0a41644d3f0fd8952e9cf2323ed52384d1410d26a9a3f",
 }
 
 
@@ -212,6 +215,12 @@ def test_lemma27_suite_at_n5():
     # the closed-form P^(d) modulo its deepest layer against the inductive
     # P^(d-1), at n=5
     total, bad = _suites_pass(("lemma2.7", 5))
+    assert total and not bad, [c.check_id for c in bad]
+
+
+def test_relative_suite_at_n5():
+    # the extension class basis and the radical-compatibility check at n=5
+    total, bad = _suites_pass(("relative", 5))
     assert total and not bad, [c.check_id for c in bad]
 
 
