@@ -14,12 +14,12 @@ _EXPORTS = {
     )},
     **{name: ("homology", name) for name in (
         "BettiTable", "ComplexityEstimate", "ar_translate", "complexity", "cosyzygy",
-        "is_linear", "is_relative_sub", "is_weakly_koszul", "lowest_step",
-        "minimal_resolution", "projective_cover", "regular_element_test", "syzygy",
+        "is_relative_sub", "is_weakly_koszul", "lowest_step", "minimal_resolution",
+        "projective_cover", "regular_element_test", "syzygy",
     )},
     **{name: ("homalg", name) for name in (
         "FiniteAlgebra", "HomSpace", "end_algebra", "ext1_square_zero", "ext_dim",
-        "hom_basis", "is_indecomposable", "stable_hom_dim", "truncated_poly_fingerprint",
+        "hom_basis", "stable_hom_dim", "truncated_poly_fingerprint",
     )},
     **{name: ("constructions", name) for name in (
         "Extension", "ExtClass", "ar_sequence_middle", "cx1_filtration",

@@ -16,6 +16,10 @@ one degree at a time to the ones that respect the relations among the
 generators' monomial multiples.  One elimination per degree yields both
 the generators in that degree and the relations landing there, so every
 elimination stays at per-degree size.
+
+The radical powers mJ, mJ², ... come from one lazy generator,
+radical_powers: top generators and Ext over the radical-square-zero
+truncation read only mJ, and square_truncate divides out mJ².
 """
 
 from __future__ import annotations
@@ -479,12 +483,19 @@ def sub_quotient(m: GradedModule, generators: list[tuple[int, np.ndarray]]):
     return sub, incl, quot, proj
 
 
-def radical_subspaces(m: GradedModule) -> dict[int, Subspace]:
-    """The graded radical m·J as one subspace per degree."""
-    return {
-        d: subspace_from_rows(np.vstack([m.action(i, d - 1) for i in range(m.n_plus_1)]), m.dim(d), m.p)
-        for d in m.degrees
-    }
+def radical_powers(m: GradedModule):
+    """Yield mJ, mJ², ... as one subspace per degree, up to the first zero
+    power.  mJ is spanned by the stacked actions and mJ^(k+1) by mJ^k's basis
+    times every action; each power is built only when it is asked for."""
+    n1, p = m.n_plus_1, m.p
+    rows = {d: [m.action(i, d - 1) for i in range(n1)] for d in m.degrees}
+    while True:
+        power = {d: subspace_from_rows(np.vstack(r), m.dim(d), p) for d, r in rows.items()}
+        yield power
+        if not any(s.dim for s in power.values()):
+            return
+        below = {d: power.get(d - 1, zero_subspace(m.dim(d - 1), p)).basis for d in m.degrees}
+        rows = {d: [matmul_mod(b, m.action(i, d - 1), p) for i in range(n1)] for d, b in below.items()}
 
 
 def socle(m: GradedModule) -> dict[int, Subspace]:
@@ -502,25 +513,16 @@ def top_generators(m: GradedModule) -> list[tuple[int, np.ndarray]]:
     """
     return [
         (d, v)
-        for d, rad in radical_subspaces(m).items()
+        for d, rad in next(radical_powers(m)).items()
         for v in linalg.identity(m.dim(d))[_nonpivots(m.dim(d), rad)]
     ]
 
 
-def radical_image(m: GradedModule, spans: dict[int, Subspace]) -> dict[int, Subspace]:
-    """spans·J: one application of the radical to a graded subspace family of m."""
-    p = m.p
-    out: dict[int, Subspace] = {}
-    for d in m.degrees:
-        prev = spans.get(d - 1, zero_subspace(m.dim(d - 1), p)).basis
-        rows = np.vstack([matmul_mod(prev, m.action(i, d - 1), p) for i in range(m.n_plus_1)])
-        out[d] = subspace_from_rows(rows, m.dim(d), p)
-    return out
-
-
 def square_truncate(m: GradedModule) -> GradedModule:
     """Quotient by all products of two radical layers (radical-square zero)."""
-    return quotient_by_subspaces(m, radical_image(m, radical_subspaces(m)))[0]
+    powers = radical_powers(m)
+    next(powers)
+    return quotient_by_subspaces(m, next(powers, {}))[0]
 
 
 def monomial_rows(m: GradedModule, d0: int, top: np.ndarray) -> list[np.ndarray]:

@@ -217,13 +217,6 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     return FiniteAlgebra(dim, p, mult, one, filtration)
 
 
-def is_indecomposable(m: GradedModule) -> bool:
-    """Locality of the endomorphism algebra (top residue one-dimensional)."""
-    if m.is_zero():
-        return False
-    return end_algebra(m).is_local()
-
-
 def truncated_poly_fingerprint(a: FiniteAlgebra, n: int, d: int) -> bool:
     """Does the algebra match the truncated polynomial algebra on n letters
     with relations of order d?  Checked through dimension data: total
@@ -256,7 +249,7 @@ def ext1_square_zero(mbar: GradedModule, nbar: GradedModule) -> int:
     """
     if not gmod.is_square_zero(mbar) or not gmod.is_square_zero(nbar):
         raise ValueError("ext1_square_zero expects radical-square-zero modules")
-    top = {d: mbar.dim(d) - rad.dim for d, rad in gmod.radical_subspaces(mbar).items()}
+    top = {d: mbar.dim(d) - rad.dim for d, rad in next(gmod.radical_powers(mbar)).items()}
     n1 = mbar.n_plus_1
     hom_omega = sum(
         (n1 * top.get(d - 1, 0) + top.get(d, 0) - mbar.dim(d)) * soc.dim

@@ -1,6 +1,7 @@
 """
 Homological operators: minimal projective covers, syzygies and cosyzygies,
-Betti tables, linearity and weak-Koszulness tests, regular sequences,
+Betti tables, linearity and weak-Koszulness tests, radical-compatibility of
+submodules (by dimension additivity over m/L), regular sequences,
 complexity estimates, and the translate Omega^2(-)(n+1).
 
 Everything is exact.  Projective covers choose generators lifting the
@@ -276,20 +277,11 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
     return _reduced_table(m, depth, *_regular_steps(m))
 
 
-def is_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
-    """True when row i of the resolution sits entirely in degree i.
-
-    Strict: a module generated away from degree zero fails; use
-    is_shifted_linear to test linearity up to a grading shift.
-    """
-    return minimal_resolution(m, depth).is_linear()
-
-
 def is_shifted_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
     """Linearity after shifting the lowest generators to degree zero."""
     if m.is_zero():
         return True
-    return is_linear(gmod.shift(m, m.min_deg), depth)
+    return minimal_resolution(gmod.shift(m, m.min_deg), depth).is_linear()
 
 
 def lowest_step(m: GradedModule):
@@ -306,19 +298,20 @@ def lowest_step(m: GradedModule):
 def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
     """Radical-compatibility of a submodule L: mJ^k meets L in exactly LJ^k.
 
-    LJ^k always lies in mJ^k ∩ L, so the two are equal exactly when
-    dim mJ^k + dim L - rank[mJ^k; L] = dim LJ^k in every degree.  This holds
-    at k = 0, and at every k once mJ^k = 0.
+    The projection onto N = m/L maps mJ^k onto NJ^k with kernel mJ^k ∩ L,
+    which contains LJ^k, so the two are equal exactly when
+    dim mJ^k = dim LJ^k + dim NJ^k in every degree.  Each term's powers come
+    from its own radical_powers, and a term whose powers have ended reads as
+    zero; the check runs until mJ^k = 0.
     """
-    p = m.p
-    image = {d: subspace_from_rows(incl.block(d), m.dim(d), p) for d in m.degrees}
-    m_power, l_power = gmod.radical_subspaces(m), gmod.radical_image(m, image)
-    while any(s.dim for s in m_power.values()):
+    image = {d: subspace_from_rows(incl.block(d), m.dim(d), m.p) for d in incl.source.degrees}
+    l_powers = gmod.radical_powers(incl.source)
+    n_powers = gmod.radical_powers(gmod.quotient_by_subspaces(m, image)[0])
+    for m_power in gmod.radical_powers(m):
+        l_power, n_power = next(l_powers, {}), next(n_powers, {})
         for d, s in m_power.items():
-            both = rref(np.vstack([s.basis, image[d].basis]), p)[0]
-            if s.dim + image[d].dim - both != l_power[d].dim:
+            if s.dim != sum(t[d].dim for t in (l_power, n_power) if d in t):
                 return False
-        m_power, l_power = gmod.radical_image(m, m_power), gmod.radical_image(m, l_power)
     return True
 
 

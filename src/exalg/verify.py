@@ -413,7 +413,7 @@ def suite_kronecker(n: int, seed: int, p: int) -> Suite:
         "ISO",
         lambda: _iso_kind(homology.ar_translate(m), m, seed),
     )
-    radical = gmod.radical_subspaces(m)
+    radical = next(gmod.radical_powers(m))
     s.add(
         "kronecker:point-uniserial",
         "the point module over two variables is uniserial of graded length two",

@@ -683,18 +683,17 @@ def test_cli_degrees_far_apart(command, tmp_path):
 
 BLAS_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
 
-# exalg.__all__ before the package loaded its submodules on first use,
-# grouped by the module each name came from
+# exalg.__all__, grouped by the module each name comes from
 PUBLIC_NAMES = {
     "linalg": ["DEFAULT_PRIME"],
     "gmod": ["GradedModule", "ModuleMap", "direct_sum", "dual", "free_module", "iso_probable",
              "shift", "simple_module", "socle", "square_truncate", "sub_quotient", "validate",
              "zero_module"],
     "homology": ["BettiTable", "ComplexityEstimate", "ar_translate", "complexity", "cosyzygy",
-                 "is_linear", "is_relative_sub", "is_weakly_koszul", "lowest_step",
-                 "minimal_resolution", "projective_cover", "regular_element_test", "syzygy"],
+                 "is_relative_sub", "is_weakly_koszul", "lowest_step", "minimal_resolution",
+                 "projective_cover", "regular_element_test", "syzygy"],
     "homalg": ["FiniteAlgebra", "HomSpace", "end_algebra", "ext1_square_zero", "ext_dim",
-               "hom_basis", "is_indecomposable", "stable_hom_dim", "truncated_poly_fingerprint"],
+               "hom_basis", "stable_hom_dim", "truncated_poly_fingerprint"],
     "constructions": ["Extension", "ExtClass", "ar_sequence_middle", "cx1_filtration",
                       "filtration_projective", "filtration_projective_explicit",
                       "kronecker_family", "point_module", "realize_ext", "span_quotient",
@@ -748,7 +747,7 @@ def test_every_public_name_resolves_on_first_use():
     expected = {name: [mod, name] for mod, names in PUBLIC_NAMES.items() for name in names}
     expected.update(ALIASES)
     expected.update((name, [name, None]) for name in SUBMODULES)
-    assert len(expected) == 57
+    assert len(expected) == 55
     bad, public, unknown = run_fresh(RESOLVE_NAMES, expected)
     assert bad == []
     assert public == sorted(expected)

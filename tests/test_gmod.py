@@ -183,7 +183,7 @@ def test_sub_quotient_by_socle_line_of_two_layer_algebra():
 
 def test_socle_radical_of_free():
     r = gmod.free_module(3, P, [0])
-    socle, radical = gmod.socle(r), gmod.radical_subspaces(r)
+    socle, radical = gmod.socle(r), next(gmod.radical_powers(r))
     assert [d for d, _ in gmod.top_generators(r)] == [0]
     assert socle[3].dim == 1
     assert all(socle[d].dim == 0 for d in (0, 1, 2))
@@ -192,7 +192,7 @@ def test_socle_radical_of_free():
 
 def test_socle_radical_semisimple():
     m = gmod.GradedModule(2, P, {0: 2, 1: 1}, [{}, {}])
-    socle, radical = gmod.socle(m), gmod.radical_subspaces(m)
+    socle, radical = gmod.socle(m), next(gmod.radical_powers(m))
     assert [d for d, _ in gmod.top_generators(m)] == [0, 0, 1]
     assert socle[0].dim == 2 and socle[1].dim == 1
     assert radical[0].dim == 0 and radical[1].dim == 0
@@ -479,15 +479,70 @@ def test_validate_multiplies_only_stored_blocks(monkeypatch):
     assert calls == []
 
 
+def radical_image(m: gmod.GradedModule, spans: dict[int, la.Subspace]) -> dict[int, la.Subspace]:
+    """Oracle for radical_powers: spans·J, one application of the radical to
+    a graded subspace family of m."""
+    p = m.p
+    out: dict[int, la.Subspace] = {}
+    for d in m.degrees:
+        prev = spans.get(d - 1, la.zero_subspace(m.dim(d - 1), p)).basis
+        rows = np.vstack([la.matmul_mod(prev, m.action(i, d - 1), p) for i in range(m.n_plus_1)])
+        out[d] = la.subspace_from_rows(rows, m.dim(d), p)
+    return out
+
+
+def iterated_radical_powers(m: gmod.GradedModule) -> list[dict[int, la.Subspace]]:
+    """mJ, mJ², ... by the oracle, up to and including the first zero power."""
+    powers = [radical_image(m, {d: la.Subspace(k, la.identity(k), m.p) for d, k in m.dims.items()})]
+    while any(s.dim for s in powers[-1].values()):
+        powers.append(radical_image(m, powers[-1]))
+    return powers
+
+
 @pytest.mark.parametrize("n1", [1, 2, 3, 4])
 def test_free_module_radical_layers(n1):
     assert gmod.free_module(n1, P, []) == gmod.zero_module(n1, P)
     f = gmod.free_module(n1, P, [0, 0, 2])
     gens = {0: 2, 2: 1}
-    rad = gmod.radical_subspaces(f)
+    rad = next(gmod.radical_powers(f))
     assert sorted(rad) == f.degrees
     for d, s in rad.items():
         assert (s.ambient, s.dim) == (f.dim(d), f.dim(d) - gens.get(d, 0))
     # m·J is J applied to the whole of m
-    assert rad == gmod.radical_image(f, {d: la.Subspace(k, la.identity(k), P) for d, k in f.dims.items()})
-    assert gmod.radical_image(f, {}) == {d: la.zero_subspace(k, P) for d, k in f.dims.items()}
+    assert rad == iterated_radical_powers(f)[0]
+
+
+def radical_power_fixtures(p):
+    """(name, module) pairs: free, square-truncated, twisted, zero, and a
+    sum whose pieces sit 10^9 degrees apart."""
+    free = gmod.free_module(3, p, [0, 1])
+    twist = np.array([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+    gapped, _, _ = gmod.direct_sum(free, gmod.shift(gmod.free_module(3, p, [0]), -(10**9)))
+    return [
+        ("free", free),
+        ("square truncation", gmod.square_truncate(free)),
+        ("transport", gmod.transport(gmod.free_module(3, p, [0]), twist)),
+        ("zero", gmod.zero_module(3, p)),
+        ("degree gap", gapped),
+    ]
+
+
+@pytest.mark.parametrize("p", [5, P])
+def test_radical_powers_match_the_iterated_oracle(p):
+    for name, m in radical_power_fixtures(p):
+        got = list(gmod.radical_powers(m))
+        assert got == iterated_radical_powers(m), name
+        assert not any(s.dim for s in got[-1].values()), name
+        assert all(any(s.dim for s in power.values()) for power in got[:-1]), name
+    assert list(gmod.radical_powers(gmod.zero_module(3, p))) == [{}]
+
+
+@pytest.mark.parametrize("p", [5, P])
+def test_top_generators_builds_only_the_first_radical_power(monkeypatch, p):
+    # the first power needs no product; a second one would multiply
+    def forbidden(*args):
+        raise AssertionError("top_generators built a radical power past mJ")
+
+    monkeypatch.setattr(gmod, "matmul_mod", forbidden)
+    f = gmod.free_module(3, p, [0, 1])
+    assert [d for d, _ in gmod.top_generators(f)] == [0, 1]

@@ -342,10 +342,11 @@ def test_radical_has_no_idempotents():
 
 def test_is_indecomposable():
     m = point_module(3)
-    assert homalg.is_indecomposable(m)
+    assert homalg.end_algebra(m).is_local()
     total, _, _ = gmod.direct_sum(m, m)
-    assert not homalg.is_indecomposable(total)
-    assert not homalg.is_indecomposable(gmod.zero_module(3, P))
+    assert not homalg.end_algebra(total).is_local()
+    # End(0) has dimension 0, so it is not local either
+    assert not homalg.end_algebra(gmod.zero_module(3, P)).is_local()
 
 
 def test_truncated_poly_fingerprint_scalar_case():
