@@ -299,7 +299,7 @@ def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
     """Radical-compatibility of a submodule L: mJ^k meets L in exactly LJ^k.
 
     The projection onto N = m/L maps mJ^k onto NJ^k with kernel mJ^k ∩ L,
-    which contains LJ^k, so the two are equal exactly when
+    which contains LJ^k, so mJ^k ∩ L = LJ^k exactly when
     dim mJ^k = dim LJ^k + dim NJ^k in every degree.  Each term's powers come
     from its own radical_powers, and a term whose powers have ended reads as
     zero; the check runs until mJ^k = 0.
