@@ -577,9 +577,10 @@ def hom_space_dim_layout(a: GradedModule, b: GradedModule) -> int:
     return sum(a.dim(d) * b.dim(d) for d in _blocks_layout(a, b))
 
 
-def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
-    """The degree-zero Hom space as the RREF basis of its flattened maps
-    (flatten_map's layout, ambient hom_space_dim_layout(a, b)).
+def _hom_solve(a: GradedModule, b: GradedModule):
+    """Solve for the degree-zero maps a -> b.  Returns (u, flatten): u has one
+    row per map of a basis, the images of a's top generators, and flatten()
+    gives those maps in flatten_map's layout, one row each.
 
     A map is fixed by the images u_g in b_(deg g) of a's top generators g,
     and such images extend to a map exactly when every relation among the
@@ -595,12 +596,13 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
     words and the degree-e generators.  The candidate images start free and
     each degree cuts them to the ones respecting its relations (every
     word's image must vanish where a_e = 0); the blocks are read at the end.
+    The rows of u start as identity blocks and are only ever multiplied on
+    the left by a kernel basis, so they stay independent.
     """
     _check_compatible(a, b)
     p, n1 = a.p, a.n_plus_1
-    ambient = hom_space_dim_layout(a, b)
-    if not ambient:
-        return zero_subspace(0, p)
+    if not hom_space_dim_layout(a, b):
+        return zeros(0, 0), lambda: zeros(0, 0)
     words: dict[int, list[np.ndarray]] = {}  # generator degree -> monomial_rows of its generators
     units: dict[int, list[np.ndarray]] = {}  # the same for b's basis where b is nonzero
     # the candidates: one vector of b_(deg g) per generator g found so far, degrees ascending
@@ -662,10 +664,28 @@ def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
             cons = images(e)  # every word is a relation where a_e = 0
         if cons.any():
             u = matmul_mod(left_kernel_basis(cons.reshape(len(u), -1), p).basis, u, p)
+
+    def flatten() -> np.ndarray:
+        flat = [along_words(expr, images(e)[:, cols]).reshape(len(u), -1) for e, cols, expr in reads]
+        return np.hstack(flat)
+
+    return u, flatten
+
+
+def hom_dim(a: GradedModule, b: GradedModule) -> int:
+    """dim of the degree-zero Hom space: the count of independent candidate
+    images, read before any map is flattened."""
+    return len(_hom_solve(a, b)[0])
+
+
+def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
+    """The degree-zero Hom space as the RREF basis of its flattened maps
+    (flatten_map's layout, ambient hom_space_dim_layout(a, b))."""
+    u, flatten = _hom_solve(a, b)
+    ambient = hom_space_dim_layout(a, b)
     if not len(u):
-        return zero_subspace(ambient, p)
-    flat = [along_words(expr, images(e)[:, cols]).reshape(len(u), -1) for e, cols, expr in reads]
-    return subspace_from_rows(np.hstack(flat), ambient, p)
+        return zero_subspace(ambient, a.p)
+    return subspace_from_rows(flatten(), ambient, a.p)
 
 
 # -- isomorphism testing ----------------------------------------------------

@@ -14,8 +14,8 @@ Hom(P, N) -> Hom(Omega X, N) -> Ext^1(X, N) -> 0, and Hom(P, N) is the sum
 of N_g over P's generator degrees g.
 
 A Hom space is the Subspace gmod.hom_space returns, the RREF basis of its
-flattened maps: dimensions and coordinates are read from its rows, and maps
-are built only where a composite or a caller needs them.
+flattened maps: coordinates are read from its rows, and maps are built only
+where a composite or a caller needs them.  hom_dim (gmod's) flattens no map.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior, gmod, homology
-from .gmod import GradedModule, ModuleMap
+from .gmod import GradedModule, ModuleMap, hom_dim
 from .linalg import (
     Subspace,
     coords_in_rref_basis,
@@ -104,10 +104,6 @@ def hom_basis(m: GradedModule, n: GradedModule) -> HomSpace:
     """The degree-zero Hom space with its projectively-trivial subspace."""
     space = gmod.hom_space(m, n)
     return HomSpace(m, n, space, factor_through_projectives(m, n, space))
-
-
-def hom_dim(m: GradedModule, n: GradedModule) -> int:
-    return gmod.hom_space(m, n).dim
 
 
 def stable_hom_dim(m: GradedModule, n: GradedModule) -> int:

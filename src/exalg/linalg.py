@@ -21,6 +21,14 @@ primes), and on that range _reduce computes x mod p exactly with one floor
 and one +-p correction, with no float modulo.  Longer products are split
 into runs of w terms.  matmul_mod sums at most w products per float run
 and reduces the exact integer result in int64.
+
+Threads.  OpenBLAS runs a gemm of at most 2^18 multiply-adds on the calling
+thread and hands larger ones to its thread pool, whose wake-up and spinning
+cost more CPU than a mid-size product saves.  matmul_mod therefore computes
+a run of at most _PANEL_CUT multiply-adds as row panels of at most
+_PANEL_WORK each, and hands larger runs to BLAS whole, where the pool pays.
+Every entry is the same exact integer dot product either way, so the split
+changes no output.  The library never sets a thread count.
 """
 
 from __future__ import annotations
@@ -39,6 +47,11 @@ MAX_PRIME = isqrt(1 << 53) + 1
 # threshold below which the plain per-pivot loop is faster.
 _PANEL = 64
 _BLOCK_THRESHOLD = 1 << 14
+# matmul_mod's row panels: at most _PANEL_WORK multiply-adds each, OpenBLAS's
+# one-thread gemm limit (SMP_THRESHOLD_MIN 65536 x GEMM_MULTITHREAD_THRESHOLD
+# 4 in its interface/gemm.c), for products of at most _PANEL_CUT.
+_PANEL_WORK = 1 << 18
+_PANEL_CUT = 1 << 24
 
 
 class DimensionMismatch(ValueError):
@@ -106,13 +119,30 @@ def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
+def _panel_matmul(af: np.ndarray, bf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- af @ bf for float64 operands: in row panels of at most
+    _PANEL_WORK multiply-adds when the whole product has at most _PANEL_CUT,
+    else in one BLAS call.  A row with more than _PANEL_WORK is its own panel."""
+    m, k = af.shape
+    n = bf.shape[1]
+    if m * k * n > _PANEL_CUT:
+        return np.matmul(af, bf, out=out)
+    step = max(1, _PANEL_WORK // max(k * n, 1))
+    for lo in range(0, m, step):
+        np.matmul(af[lo : lo + step], bf, out=out[lo : lo + step])
+    return out
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p, using float64 BLAS when the inner dimension allows.
 
     For entries of magnitude below p, a dot product of length k has
     magnitude at most k*(p-1)^2; as long as that stays below 2^53 the
     float64 product is an exact integer, reduced in int64.  Longer inner
-    dimensions are accumulated in chunks.
+    dimensions are accumulated in runs of _exact_terms(p) terms.  Each run
+    of at most _PANEL_CUT multiply-adds is computed in row panels of at most
+    _PANEL_WORK, which OpenBLAS runs on the calling thread (module
+    docstring); a larger run is one BLAS call.
     """
     a = _as_mat(a)
     b = _as_mat(b)
@@ -120,14 +150,16 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
     k = a.shape[1]
     safe = _exact_terms(p)
+    af = a.astype(np.float64)
+    bf = b.astype(np.float64)
+    c = np.empty((a.shape[0], b.shape[1]))
     if k <= safe:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        return c.astype(np.int64) % p
+        return _panel_matmul(af, bf, c).astype(np.int64) % p
     acc = zeros(a.shape[0], b.shape[1])
     for lo in range(0, k, safe):
         hi = min(lo + safe, k)
-        c = a[:, lo:hi].astype(np.float64) @ b[lo:hi].astype(np.float64)
-        acc = (acc + c.astype(np.int64)) % p
+        acc += _panel_matmul(af[:, lo:hi], bf[lo:hi], c).astype(np.int64)
+        acc %= p
     return acc
 
 

@@ -381,6 +381,30 @@ def test_hom_space_finds_the_generators_in_its_own_eliminations(monkeypatch):
         assert np.array_equal(got.basis, np.array(want, dtype=np.int64).reshape(len(want), got.ambient))
 
 
+def test_hom_dim_counts_the_candidates_without_flattening(monkeypatch):
+    pairs = hom_fixture_pairs()
+    for t in range(40):
+        a, b = random_structured_module(1000 + t), random_structured_module(2000 + t)
+        if a.n_plus_1 == b.n_plus_1:
+            pairs.append((a, b))
+    dims = [gmod.hom_space(a, b).dim for a, b in pairs]
+    real = gmod._hom_solve
+
+    def unflattened(a, b):
+        u, _ = real(a, b)
+
+        def flatten():
+            raise AssertionError("the maps were flattened")
+
+        return u, flatten
+
+    monkeypatch.setattr(gmod, "_hom_solve", unflattened)
+    assert [homalg.hom_dim(a, b) for a, b in pairs] == dims
+    assert max(dims) > 1
+    with pytest.raises(AssertionError, match="flattened"):
+        gmod.hom_space(*pairs[dims.index(max(dims))])
+
+
 def test_hom_of_free_rank_one_is_scalar():
     r = gmod.free_module(2, P, [0])
     assert homalg.hom_dim(r, r) == 1

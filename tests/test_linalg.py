@@ -269,10 +269,52 @@ def test_matmul_mod_exactness_and_chunking():
             b4[::2, 1] *= -1
             want = (a4.astype(object).dot(b4.astype(object)) % p).tolist()
             assert la.matmul_mod(a4, b4, p).tolist() == want
+    # row panels against an object-dtype oracle: a row count that is not a
+    # multiple of the panel height, one-row panels, a product just above
+    # _PANEL_CUT (one BLAS call), no rows, no columns and k = 0
+    shapes = [(300, 40, 50), (3, 600, 500), (257, 256, 256), (0, 7, 5), (6, 7, 0), (6, 0, 5)]
+    assert 300 % (la._PANEL_WORK // (40 * 50)) and 300 * 40 * 50 > la._PANEL_WORK
+    assert 600 * 500 > la._PANEL_WORK and 3 * 600 * 500 <= la._PANEL_CUT
+    assert 257 * 256 * 256 > la._PANEL_CUT >= 256**3
+    for p in (5, P, 94906249):
+        for m, k, n in shapes:
+            a5 = random_matrix(rng, m, k, p)
+            b5 = random_matrix(rng, k, n, p)
+            want = (a5.astype(object).dot(b5.astype(object)) % p).tolist()
+            assert la.matmul_mod(a5, b5, p).tolist() == want, (p, m, k, n)
     with pytest.raises(ValueError, match="prime"):
         la.check_prime(94906297)  # the first prime above MAX_PRIME
     with pytest.raises(ValueError, match="MAX_PRIME"):
         la.matmul_mod(a3, b3, 2**31 - 1)
+
+
+def test_matmul_mod_keeps_mid_size_blas_calls_on_one_thread(monkeypatch):
+    # OpenBLAS runs a gemm of at most _PANEL_WORK multiply-adds on the
+    # calling thread: every call for a product of at most _PANEL_CUT stays
+    # there, unless one row alone is larger, and a larger product is one call
+    calls = []
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, x, y, **kw):
+            calls.append((x.shape[0], x.shape[0] * x.shape[1] * y.shape[1]))
+            return np.matmul(x, y, **kw)
+
+    monkeypatch.setattr(la, "np", SpyNumpy())
+    rng = np.random.default_rng(5)
+    for m, k, n in [(300, 40, 50), (1000, 10, 120), (60, 60, 160), (3, 600, 500), (257, 256, 256)]:
+        calls.clear()
+        a = random_matrix(rng, m, k, P)
+        b = random_matrix(rng, k, n, P)
+        assert np.array_equal(la.matmul_mod(a, b, P), (a @ b) % P)
+        assert sum(rows for rows, _ in calls) == m
+        if m * k * n > la._PANEL_CUT:
+            assert calls == [(m, m * k * n)]
+        else:
+            assert all(work <= max(la._PANEL_WORK, k * n) for _, work in calls), calls
+            assert len(calls) > 1
 
 
 def test_is_prime_matches_miller_rabin():
