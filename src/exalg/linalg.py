@@ -119,15 +119,17 @@ def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
-def _panel_matmul(af: np.ndarray, bf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- af @ bf for float64 operands: in row panels of at most
-    _PANEL_WORK multiply-adds when the whole product has at most _PANEL_CUT,
-    else in one BLAS call.  A row with more than _PANEL_WORK is its own panel."""
+def _panel_matmul(af: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """af @ bf for float64 operands: in row panels of at most _PANEL_WORK
+    multiply-adds, written into one buffer, when the product has at most
+    _PANEL_CUT; else, or when one panel holds every row, in one BLAS call.
+    A row with more than _PANEL_WORK is a panel of its own."""
     m, k = af.shape
     n = bf.shape[1]
-    if m * k * n > _PANEL_CUT:
-        return np.matmul(af, bf, out=out)
     step = max(1, _PANEL_WORK // max(k * n, 1))
+    if m <= step or m * k * n > _PANEL_CUT:
+        return np.matmul(af, bf)
+    out = np.empty((m, n))
     for lo in range(0, m, step):
         np.matmul(af[lo : lo + step], bf, out=out[lo : lo + step])
     return out
@@ -152,13 +154,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     safe = _exact_terms(p)
     af = a.astype(np.float64)
     bf = b.astype(np.float64)
-    c = np.empty((a.shape[0], b.shape[1]))
     if k <= safe:
-        return _panel_matmul(af, bf, c).astype(np.int64) % p
+        return _panel_matmul(af, bf).astype(np.int64) % p
     acc = zeros(a.shape[0], b.shape[1])
     for lo in range(0, k, safe):
         hi = min(lo + safe, k)
-        acc += _panel_matmul(af[:, lo:hi], bf[lo:hi], c).astype(np.int64)
+        acc += _panel_matmul(af[:, lo:hi], bf[lo:hi]).astype(np.int64)
         acc %= p
     return acc
 
