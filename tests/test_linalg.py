@@ -291,7 +291,8 @@ def test_matmul_mod_exactness_and_chunking():
 def test_matmul_mod_keeps_mid_size_blas_calls_on_one_thread(monkeypatch):
     # OpenBLAS runs a gemm of at most _PANEL_WORK multiply-adds on the
     # calling thread: every call for a product of at most _PANEL_CUT stays
-    # there, unless one row alone is larger, and a larger product is one call
+    # there, unless one row alone is larger; a product that small already,
+    # or larger than _PANEL_CUT, is one call
     calls = []
 
     class SpyNumpy:
@@ -304,13 +305,13 @@ def test_matmul_mod_keeps_mid_size_blas_calls_on_one_thread(monkeypatch):
 
     monkeypatch.setattr(la, "np", SpyNumpy())
     rng = np.random.default_rng(5)
-    for m, k, n in [(300, 40, 50), (1000, 10, 120), (60, 60, 160), (3, 600, 500), (257, 256, 256)]:
+    for m, k, n in [(20, 10, 30), (300, 40, 50), (1000, 10, 120), (60, 60, 160), (3, 600, 500), (257, 256, 256)]:
         calls.clear()
         a = random_matrix(rng, m, k, P)
         b = random_matrix(rng, k, n, P)
         assert np.array_equal(la.matmul_mod(a, b, P), (a @ b) % P)
         assert sum(rows for rows, _ in calls) == m
-        if m * k * n > la._PANEL_CUT:
+        if not la._PANEL_WORK < m * k * n <= la._PANEL_CUT:
             assert calls == [(m, m * k * n)]
         else:
             assert all(work <= max(la._PANEL_WORK, k * n) for _, work in calls), calls
