@@ -14,7 +14,7 @@ _EXPORTS = {
     )},
     **{name: ("homology", name) for name in (
         "BettiTable", "ComplexityEstimate", "ar_translate", "complexity", "cosyzygy",
-        "is_relative_sub", "is_weakly_koszul", "lowest_step", "minimal_resolution",
+        "is_relative_sub", "lowest_step", "minimal_resolution",
         "projective_cover", "regular_element_test", "syzygy",
     )},
     **{name: ("homalg", name) for name in (

@@ -92,47 +92,28 @@ def point_module(n_plus_1: int, form, p: int) -> GradedModule:
 def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
     """Graded tensor product over the ground field.
 
-    Degree-k part is the sum of m_i ⊗ n_{k-i}; a variable acts on a pure
-    tensor by acting on the left factor with the sign (-1)^(degree of the
-    right factor), plus acting on the right factor unsigned.
+    Degree-k part is the sum of m_i ⊗ n_{k-i}, i ascending; a variable acts
+    on a pure tensor by acting on the left factor with the sign (-1)^(degree
+    of the right factor), plus acting on the right factor unsigned.  From
+    m_i ⊗ n_j the two pieces land in the blocks (i+1, j) and (i, j+1).
     """
     gmod._check_compatible(m, n)
     p = m.p
-    pairs: dict[int, list[tuple[int, int]]] = {}
-    for k in sorted({i + j for i in m.degrees for j in n.degrees}):
-        row = [(i, k - i) for i in m.degrees if n.dim(k - i)]
-        if row:
-            pairs[k] = row
-    dims = {k: sum(m.dim(i) * n.dim(j) for i, j in row) for k, row in pairs.items()}
-    offsets: dict[int, dict[tuple[int, int], int]] = {}
-    for k, row in pairs.items():
-        ofs = 0
-        offsets[k] = {}
-        for i, j in row:
-            offsets[k][(i, j)] = ofs
-            ofs += m.dim(i) * n.dim(j)
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(m.n_plus_1)]
-    for t in range(m.n_plus_1):
-        for k in pairs:
-            if not dims.get(k) or not dims.get(k + 1):
-                continue
-            mat = zeros(dims[k], dims[k + 1])
-            for i, j in pairs[k]:
-                src = offsets[k][(i, j)]
-                blk_rows = m.dim(i) * n.dim(j)
-                # left-factor action, signed by the right factor's degree
-                if m.dim(i + 1) and (i + 1, j) in offsets.get(k + 1, {}):
-                    dst = offsets[k + 1][(i + 1, j)]
-                    sign = -1 if j % 2 else 1
-                    piece = (sign * np.kron(m.action(t, i), np.eye(n.dim(j), dtype=np.int64))) % p
-                    mat[src : src + blk_rows, dst : dst + m.dim(i + 1) * n.dim(j)] = piece
-                # right-factor action, unsigned
-                if n.dim(j + 1) and (i, j + 1) in offsets.get(k + 1, {}):
-                    dst = offsets[k + 1][(i, j + 1)]
-                    piece = np.kron(np.eye(m.dim(i), dtype=np.int64), n.action(t, j)) % p
-                    cur = mat[src : src + blk_rows, dst : dst + m.dim(i) * n.dim(j + 1)]
-                    mat[src : src + blk_rows, dst : dst + m.dim(i) * n.dim(j + 1)] = (cur + piece) % p
-            actions[t][k] = mat
+    dims: dict[int, int] = {}
+    offsets: dict[tuple[int, int], int] = {}  # (i, j) -> where m_i ⊗ n_j starts in degree i + j
+    for i in m.degrees:
+        for j in n.degrees:
+            offsets[(i, j)] = dims.get(i + j, 0)
+            dims[i + j] = offsets[(i, j)] + m.dim(i) * n.dim(j)
+    actions = [{k: zeros(dims[k], dims[k + 1]) for k in dims if k + 1 in dims} for _ in range(m.n_plus_1)]
+    for (i, j), src in offsets.items():
+        for t, act in enumerate(actions):
+            left = (-1 if j % 2 else 1) * np.kron(m.action(t, i), np.eye(n.dim(j), dtype=np.int64))
+            right = np.kron(np.eye(m.dim(i), dtype=np.int64), n.action(t, j))
+            for key, piece in (((i + 1, j), left), ((i, j + 1), right)):
+                if key in offsets:
+                    dst = offsets[key]
+                    act[i + j][src : src + piece.shape[0], dst : dst + piece.shape[1]] = piece % p
     return GradedModule(m.n_plus_1, p, dims, actions)
 
 

@@ -40,10 +40,6 @@ def basis_of_degree(n_plus_1: int, degree: int) -> list[Monomial]:
     return list(combinations(range(n_plus_1), degree))
 
 
-def algebra_dim(n_plus_1: int, degree: int) -> int:
-    return comb(n_plus_1, degree) if 0 <= degree <= n_plus_1 else 0
-
-
 def multiset_count(letters: int, size: int) -> int:
     """Degree-size monomials in commuting letters, as combinations_with_replacement counts them."""
     return comb(max(letters + size - 1, 0), size)

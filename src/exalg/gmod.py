@@ -218,27 +218,22 @@ def zero_module(n_plus_1: int, p: int) -> GradedModule:
 
 
 def free_module(n_plus_1: int, p: int, generator_degrees) -> GradedModule:
-    """Direct sum of one rank-one free module per listed generator degree."""
+    """Direct sum of one rank-one free module per listed generator degree,
+    generators ascending inside each degree."""
     gens = sorted(int(g) for g in generator_degrees)
     gen_mats = exterior.generator_matrices(n_plus_1, p)
     dims: dict[int, int] = {}
-    for g in gens:
+    offsets: dict[tuple[int, int], int] = {}  # (k, j) -> where generator k's degree-j monomials start
+    for k, g in enumerate(gens):
         for j in range(n_plus_1 + 1):
-            dims[g + j] = dims.get(g + j, 0) + comb(n_plus_1, j)
-    actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
-    for i in range(n_plus_1):
-        for d in sorted(dims):
-            mat = zeros(dims[d], dims.get(d + 1, 0))
-            r0 = 0
-            c0 = 0
-            for g in gens:
-                br = exterior.algebra_dim(n_plus_1, d - g)
-                bc = exterior.algebra_dim(n_plus_1, d + 1 - g)
-                if br and bc:
-                    mat[r0 : r0 + br, c0 : c0 + bc] = gen_mats[i][d - g]
-                r0 += br
-                c0 += bc
-            actions[i][d] = mat
+            offsets[(k, j)] = dims.get(g + j, 0)
+            dims[g + j] = offsets[(k, j)] + comb(n_plus_1, j)
+    actions = [{d: zeros(dims[d], dims[d + 1]) for d in dims if d + 1 in dims} for _ in range(n_plus_1)]
+    for (k, j), r0 in offsets.items():
+        if j < n_plus_1:
+            c0 = offsets[(k, j + 1)]
+            for act, mats in zip(actions, gen_mats):
+                act[gens[k] + j][r0 : r0 + mats[j].shape[0], c0 : c0 + mats[j].shape[1]] = mats[j]
     return GradedModule(n_plus_1, p, dims, actions)
 
 
@@ -275,13 +270,10 @@ def validate(m: GradedModule) -> list[str]:
 
 
 def is_square_zero(m: GradedModule) -> bool:
-    """True when every length-two product of action matrices vanishes."""
-    for d in m.degrees:
-        for i in range(m.n_plus_1):
-            for j in range(m.n_plus_1):
-                if np.any(_product(m, i, j, d)):
-                    return False
-    return True
+    """True when mJ² = 0, that is, when every product x_i·x_j acts as zero."""
+    powers = radical_powers(m)
+    next(powers)
+    return not any(s.dim for s in next(powers, {}).values())
 
 
 # -- structural operations -------------------------------------------------

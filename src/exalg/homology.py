@@ -1,8 +1,8 @@
 """
 Homological operators: minimal projective covers, syzygies and cosyzygies,
-Betti tables, linearity and weak-Koszulness tests, radical-compatibility of
-submodules (by dimension additivity over m/L), regular sequences,
-complexity estimates, and the translate Omega^2(-)(n+1).
+Betti tables, radical-compatibility of submodules (by dimension additivity
+over m/L), regular sequences, complexity estimates, and the translate
+Omega^2(-)(n+1).
 
 Everything is exact.  Projective covers choose generators lifting the
 standard complement of the radical, so resolutions are minimal by
@@ -277,13 +277,6 @@ def minimal_resolution(m: GradedModule, depth: int = DEFAULT_DEPTH) -> BettiTabl
     return _reduced_table(m, depth, *_regular_steps(m))
 
 
-def is_shifted_linear(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
-    """Linearity after shifting the lowest generators to degree zero."""
-    if m.is_zero():
-        return True
-    return minimal_resolution(gmod.shift(m, m.min_deg), depth).is_linear()
-
-
 def lowest_step(m: GradedModule):
     """Split off the submodule generated by the lowest-degree piece.
 
@@ -312,20 +305,6 @@ def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
         for d, s in m_power.items():
             if s.dim != sum(t[d].dim for t in (l_power, n_power) if d in t):
                 return False
-    return True
-
-
-def is_weakly_koszul(m: GradedModule, depth: int = DEFAULT_DEPTH) -> bool:
-    """Iterated check: peel lowest-degree layers, each a shifted linear
-    module sitting inside via a radical-compatible extension."""
-    cur = m
-    while not cur.is_zero():
-        sub, incl, quot, _ = lowest_step(cur)
-        if not is_shifted_linear(sub, depth):
-            return False
-        if not is_relative_sub(cur, incl):
-            return False
-        cur = quot
     return True
 
 
@@ -364,10 +343,6 @@ class ComplexityEstimate:
     cx_betti: int | None  # None means the Betti window did not settle
     table: BettiTable  # the resolution the Betti route read
     regular_sequence: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def agree(self) -> bool:
-        return self.cx_betti is not None and self.cx_betti == self.cx_regseq
 
     def to_json_dict(self) -> dict:
         return {

@@ -168,6 +168,74 @@ def test_span_quotient_of_no_forms_and_tensor_with_zero(n1):
         assert cons.tensor(z, m) == z
 
 
+def tensor_by_pair_lists(m, n):
+    """Oracle for tensor: per-degree lists of (i, j) pairs and offset dicts,
+    with the right-factor piece added onto whatever the block holds."""
+    gmod._check_compatible(m, n)
+    p = m.p
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for k in sorted({i + j for i in m.degrees for j in n.degrees}):
+        row = [(i, k - i) for i in m.degrees if n.dim(k - i)]
+        if row:
+            pairs[k] = row
+    dims = {k: sum(m.dim(i) * n.dim(j) for i, j in row) for k, row in pairs.items()}
+    offsets: dict[int, dict[tuple[int, int], int]] = {}
+    for k, row in pairs.items():
+        ofs = 0
+        offsets[k] = {}
+        for i, j in row:
+            offsets[k][(i, j)] = ofs
+            ofs += m.dim(i) * n.dim(j)
+    actions: list[dict[int, np.ndarray]] = [{} for _ in range(m.n_plus_1)]
+    for t in range(m.n_plus_1):
+        for k in pairs:
+            if not dims.get(k) or not dims.get(k + 1):
+                continue
+            mat = la.zeros(dims[k], dims[k + 1])
+            for i, j in pairs[k]:
+                src = offsets[k][(i, j)]
+                blk_rows = m.dim(i) * n.dim(j)
+                # left-factor action, signed by the right factor's degree
+                if m.dim(i + 1) and (i + 1, j) in offsets.get(k + 1, {}):
+                    dst = offsets[k + 1][(i + 1, j)]
+                    sign = -1 if j % 2 else 1
+                    piece = (sign * np.kron(m.action(t, i), np.eye(n.dim(j), dtype=np.int64))) % p
+                    mat[src : src + blk_rows, dst : dst + m.dim(i + 1) * n.dim(j)] = piece
+                # right-factor action, unsigned
+                if n.dim(j + 1) and (i, j + 1) in offsets.get(k + 1, {}):
+                    dst = offsets[k + 1][(i, j + 1)]
+                    piece = np.kron(np.eye(m.dim(i), dtype=np.int64), n.action(t, j)) % p
+                    cur = mat[src : src + blk_rows, dst : dst + m.dim(i) * n.dim(j + 1)]
+                    mat[src : src + blk_rows, dst : dst + m.dim(i) * n.dim(j + 1)] = (cur + piece) % p
+            actions[t][k] = mat
+    return gmod.GradedModule(m.n_plus_1, p, dims, actions)
+
+
+def tensor_battery(n1, p):
+    """Modules over n1 variables mod p: zero, simple off degree zero, free
+    with repeated and negative generators, quotients, duals and shifts."""
+    point = cons.point_module(n1, x0(n1), p)
+    return [
+        gmod.zero_module(n1, p),
+        gmod.simple_module(n1, p, -2),
+        gmod.free_module(n1, p, [0]),
+        gmod.free_module(n1, p, [-1, 0, 0]),
+        gmod.square_truncate(gmod.free_module(n1, p, [0, 1])),
+        gmod.shift(point, 1),
+        gmod.dual(point),
+        gmod.direct_sum(point, gmod.simple_module(n1, p, 3))[0],
+    ]
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+def test_tensor_matches_the_pair_list_oracle(p):
+    for n1 in (1, 2, 3):
+        mods = tensor_battery(n1, p)
+        for a in mods:
+            for b in mods:
+                assert modfile.serialize(cons.tensor(a, b)) == modfile.serialize(tensor_by_pair_lists(a, b))
+
+
 def test_tensor_dims_multiply():
     n = 2
     m = cons.point_module(n + 1, x0(n + 1), P)

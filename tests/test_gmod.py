@@ -1,8 +1,10 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from exalg import constructions as cons
-from exalg import gmod, homalg, verify
+from exalg import exterior, gmod, homalg, modfile, verify
 from exalg import linalg as la
 
 P = la.DEFAULT_PRIME
@@ -515,6 +517,17 @@ def radical_image(m: gmod.GradedModule, spans: dict[int, la.Subspace]) -> dict[i
     return out
 
 
+def is_square_zero_by_products(m: gmod.GradedModule) -> bool:
+    """Oracle for is_square_zero: every length-two product of action
+    matrices, (n+1)² per degree."""
+    for d in m.degrees:
+        for i in range(m.n_plus_1):
+            for j in range(m.n_plus_1):
+                if np.any(gmod._product(m, i, j, d)):
+                    return False
+    return True
+
+
 def iterated_radical_powers(m: gmod.GradedModule) -> list[dict[int, la.Subspace]]:
     """mJ, mJ², ... by the oracle, up to and including the first zero power."""
     powers = [radical_image(m, {d: la.Subspace(k, la.identity(k), m.p) for d, k in m.dims.items()})]
@@ -536,29 +549,89 @@ def test_free_module_radical_layers(n1):
     assert rad == iterated_radical_powers(f)[0]
 
 
+def algebra_dim(n_plus_1: int, degree: int) -> int:
+    return comb(n_plus_1, degree) if 0 <= degree <= n_plus_1 else 0
+
+
+def free_module_by_running_offsets(n_plus_1: int, p: int, generator_degrees) -> gmod.GradedModule:
+    """Oracle for free_module: each degree's blocks placed by running row and
+    column counters over every generator."""
+    gens = sorted(int(g) for g in generator_degrees)
+    gen_mats = exterior.generator_matrices(n_plus_1, p)
+    dims: dict[int, int] = {}
+    for g in gens:
+        for j in range(n_plus_1 + 1):
+            dims[g + j] = dims.get(g + j, 0) + comb(n_plus_1, j)
+    actions: list[dict[int, np.ndarray]] = [{} for _ in range(n_plus_1)]
+    for i in range(n_plus_1):
+        for d in sorted(dims):
+            mat = la.zeros(dims[d], dims.get(d + 1, 0))
+            r0 = 0
+            c0 = 0
+            for g in gens:
+                br = algebra_dim(n_plus_1, d - g)
+                bc = algebra_dim(n_plus_1, d + 1 - g)
+                if br and bc:
+                    mat[r0 : r0 + br, c0 : c0 + bc] = gen_mats[i][d - g]
+                r0 += br
+                c0 += bc
+            actions[i][d] = mat
+    return gmod.GradedModule(n_plus_1, p, dims, actions)
+
+
+@pytest.mark.parametrize("p", [5, P])
+def test_free_module_matches_the_running_offset_oracle(p):
+    # empty, repeated, negative and widely spread generator degrees
+    for gens in ([], [0], [0, 0], [-3], [2, -1, 2], [0, 1, 5], [-2, -2, -1]):
+        for n1 in range(1, 6):
+            got = modfile.serialize(gmod.free_module(n1, p, gens))
+            assert got == modfile.serialize(free_module_by_running_offsets(n1, p, gens)), (gens, n1)
+
+
 def radical_power_fixtures(p):
     """(name, module) pairs: free, square-truncated, twisted, zero, and a
     sum whose pieces sit 10^9 degrees apart."""
     free = gmod.free_module(3, p, [0, 1])
     twist = np.array([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
     gapped, _, _ = gmod.direct_sum(free, gmod.shift(gmod.free_module(3, p, [0]), -(10**9)))
+    point = cons.point_module(3, [1, 0, 0], p)
+    proj2, proj3 = cons.filtration_projective_explicit(2, 2, p), cons.filtration_projective_explicit(1, 3, p)
     return [
         ("free", free),
         ("square truncation", gmod.square_truncate(free)),
         ("transport", gmod.transport(gmod.free_module(3, p, [0]), twist)),
         ("zero", gmod.zero_module(3, p)),
         ("degree gap", gapped),
+        ("zero, one variable", gmod.zero_module(1, p)),
+        ("simple", gmod.simple_module(3, p)),
+        ("simple in degree -2", gmod.simple_module(2, p, -2)),
+        ("semisimple", gmod.GradedModule(2, p, {0: 2, 1: 1}, [{}, {}])),
+        ("free, one variable", gmod.free_module(1, p, [0, 3])),
+        ("free, two variables", gmod.free_module(2, p, [-1])),
+        ("square truncation, four variables", gmod.square_truncate(gmod.free_module(4, p, [0, 0, 2]))),
+        ("P(2) over two letters", proj2),
+        ("square truncation of P(2)", gmod.square_truncate(proj2)),
+        ("P(3) over one letter", proj3),
+        ("square truncation of P(3)", gmod.square_truncate(proj3)),
+        ("point module", point),
+        ("dual point module", gmod.dual(point)),
+        ("point ⊗ square truncation", cons.tensor(point, gmod.square_truncate(free))),
+        ("square truncation ⊗ square truncation", cons.tensor(*[gmod.square_truncate(free)] * 2)),
     ]
 
 
 @pytest.mark.parametrize("p", [5, P])
 def test_radical_powers_match_the_iterated_oracle(p):
+    verdicts = []
     for name, m in radical_power_fixtures(p):
         got = list(gmod.radical_powers(m))
         assert got == iterated_radical_powers(m), name
         assert not any(s.dim for s in got[-1].values()), name
         assert all(any(s.dim for s in power.values()) for power in got[:-1]), name
+        verdicts.append(gmod.is_square_zero(m))
+        assert verdicts[-1] == is_square_zero_by_products(m), name
     assert list(gmod.radical_powers(gmod.zero_module(3, p))) == [{}]
+    assert len(verdicts) >= 20 and set(verdicts) == {True, False}
 
 
 @pytest.mark.parametrize("p", [5, P])
