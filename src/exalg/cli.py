@@ -21,7 +21,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 
 import numpy as np
 
-from . import gmod, homology, modfile
+from . import gmod, modfile
 from .linalg import DEFAULT_PRIME, check_prime
 
 
@@ -73,8 +73,11 @@ def cmd_validate(args, p) -> int:
 
 
 def cmd_betti(args, p) -> int:
+    from . import homology
+
     m = _load_module(args.file, p)
-    table = homology.minimal_resolution(m, args.depth)
+    depth = homology.DEFAULT_DEPTH if args.depth is None else args.depth
+    table = homology.minimal_resolution(m, depth)
     if args.json:
         sys.stdout.write(modfile.canonical_json({"p": p, **table.to_json_dict()}))
     else:
@@ -83,8 +86,11 @@ def cmd_betti(args, p) -> int:
 
 
 def cmd_complexity(args, p) -> int:
+    from . import homology
+
     m = _load_module(args.file, p)
-    est = homology.complexity(m, depth=args.depth, seed=args.seed)
+    depth = homology.DEFAULT_DEPTH if args.depth is None else args.depth
+    est = homology.complexity(m, depth=depth, seed=args.seed)
     if args.json:
         sys.stdout.write(modfile.canonical_json({"p": p, **est.to_json_dict()}))
     else:
@@ -95,12 +101,16 @@ def cmd_complexity(args, p) -> int:
 
 
 def cmd_syzygy(args, p) -> int:
+    from . import homology
+
     m = _load_module(args.file, p)
     _emit_module(homology.syzygy(m, args.k))
     return 0
 
 
 def cmd_cosyzygy(args, p) -> int:
+    from . import homology
+
     m = _load_module(args.file, p)
     _emit_module(homology.cosyzygy(m, args.k))
     return 0
@@ -247,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("betti", help="generator degrees of the minimal resolution")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=homology.DEFAULT_DEPTH)
+    sp.add_argument("--depth", type=int)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_betti)
 
     sp = sub.add_parser("complexity", help="complexity by regular sequences and Betti growth")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=homology.DEFAULT_DEPTH)
+    sp.add_argument("--depth", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_complexity)

@@ -13,9 +13,11 @@ Degree-zero homomorphisms are per-degree blocks commuting with every
 action matrix.  The Hom solver works from a presentation: a map is fixed by
 the images of the source's top generators, and those images are cut down
 one degree at a time to the ones that respect the relations among the
-generators' monomial multiples.  One elimination per degree yields both
-the generators in that degree and the relations landing there, so every
-elimination stays at per-degree size.
+generators' monomial multiples.  One elimination per degree, of the lower
+generators' words beside an identity and bounded by the source's columns,
+yields both the generators in that degree and the relations landing there,
+so every elimination stays at per-degree size.  hom_space hands the
+generator slots on with the Hom space, and homalg reads composites there.
 
 The radical powers mJ, mJ², ... come from one lazy generator,
 radical_powers: top generators and Ext over the radical-square-zero
@@ -24,7 +26,6 @@ truncation read only mJ, and square_truncate divides out mJ².
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
 
@@ -570,36 +571,44 @@ def hom_space_dim_layout(a: GradedModule, b: GradedModule) -> int:
 
 
 def _hom_solve(a: GradedModule, b: GradedModule):
-    """Solve for the degree-zero maps a -> b.  Returns (u, flatten): u has one
-    row per map of a basis, the images of a's top generators, and flatten()
-    gives those maps in flatten_map's layout, one row each.
+    """Solve for the degree-zero maps a -> b.  Returns (u, maps): u has one
+    row per map of a basis, the images of a's top generators, and maps()
+    gives those maps in flatten_map's layout, one row each, together with
+    the generator slots: for each degree e where a has generators and b is
+    nonzero, the coordinates of a_e that are top generators, top_generators'
+    choice.  u's columns are these slots times b_e's basis, degrees
+    ascending.
 
     A map is fixed by the images u_g in b_(deg g) of a's top generators g,
     and such images extend to a map exactly when every relation among the
     words g·x_S holds among the u_g·x_S.  One elimination per degree e,
-    ascending, finds both.  In RREF [R | T] of [A | I], A the words of the
-    lower generators that land in e, R's nonzero rows are RREF(a_e·J): its
-    non-pivot slots are the generators in degree e, top_generators' choice.
-    The rows where R is zero are the relations.  Each has a 1 at its own
-    word, which no other row touches, so it fixes that word's image from the
-    images of the other words (r of them, r = dim a_e·J).  Row k < r, with
-    pivot c, gives e_c = T_k·(words) - sum_t R[k, t]·(generator t), so the
-    map's block in degree e is a square matrix times the images of those r
-    words and the degree-e generators.  The candidate images start free and
-    each degree cuts them to the ones respecting its relations (every
-    word's image must vanish where a_e = 0); the blocks are read at the end.
-    The rows of u start as identity blocks and are only ever multiplied on
-    the left by a kernel basis, so they stay independent.
+    ascending, finds both.  It reduces [A | I], A the words of the lower
+    generators that land in e, over A's columns only, to [R | T] with
+    T·A = R.  R's nonzero rows are RREF(a_e·J): its non-pivot slots are the
+    generators in degree e.  The rows below the rank have R = 0, and their
+    T parts, the relations, span the left kernel of A.  Row k of R, with
+    pivot c, is T_k·(words) = e_c + sum_t R[k, t]·(generator t), so the
+    map's block in degree e is a matrix times the images of all the words
+    and the degree-e generators.  The candidate images start free and each
+    degree cuts them to the ones whose word images the relations kill
+    (every word's image must vanish where a_e = 0); that cut depends only on
+    the relations' span.  The blocks are read at the end.  The rows of u
+    start as identity blocks and are only ever multiplied on the left by a
+    kernel basis, so they stay independent.
+
+    The solver visits only the degrees up to b's top degree: a generator
+    above it has no slot, and every map sends it to zero.
     """
     _check_compatible(a, b)
     p, n1 = a.p, a.n_plus_1
     if not hom_space_dim_layout(a, b):
-        return zeros(0, 0), lambda: zeros(0, 0)
+        return zeros(0, 0), lambda: (zeros(0, 0), {})
     words: dict[int, list[np.ndarray]] = {}  # generator degree -> monomial_rows of its generators
     units: dict[int, list[np.ndarray]] = {}  # the same for b's basis where b is nonzero
     # the candidates: one vector of b_(deg g) per generator g found so far, degrees ascending
     u = zeros(0, 0)
-    reads = []  # (e, word positions, the matrix taking their images to the block)
+    reads = []  # (e, the matrix taking the images of e's words and generators to the block)
+    slots: dict[int, np.ndarray] = {}
 
     def images(e: int) -> np.ndarray:
         # (candidates, words, b_e): each candidate's images of the words in degree e
@@ -629,39 +638,36 @@ def _hom_solve(a: GradedModule, b: GradedModule):
             low = [w[e - d] for d, w in words.items() if e - d <= n1]
             nw = sum(len(x) for x in low)
             amat = np.vstack(low) if low else zeros(0, ae)
-            _, red, piv = rref(np.hstack([amat, linalg.identity(nw)]), p)
-            r = bisect_left(piv, ae)  # rows r.. have zero A part
-            gens = np.delete(np.arange(ae), piv[:r])
-            own = [c - ae for c in piv[r:]]  # each relation's own word
-            rest = np.delete(np.arange(nw), own)
+            r, red, piv = linalg._rref_small(np.hstack([amat, linalg.identity(nw)]), p, ae)
+            gens = np.delete(np.arange(ae), piv)
             if gens.size:
                 words[e] = monomial_rows(a, e, linalg.identity(ae)[gens])
         if not be:
             continue
         if ae:
             if gens.size:
+                slots[e] = gens
                 units[e] = monomial_rows(b, e, linalg.identity(be))
                 k = gens.size * be
                 u = np.block([[u, zeros(len(u), k)], [zeros(k, u.shape[1]), linalg.identity(k)]])
-            expr = zeros(ae, ae)
-            expr[piv[:r], :r] = red[:r, ae + rest]
-            expr[piv[:r], r:] = -red[:r, gens] % p
-            expr[gens, r + np.arange(gens.size)] = 1
-            reads.append((e, np.concatenate([rest, nw + np.arange(gens.size)]), expr))
-            if not own:
+            expr = zeros(ae, nw + gens.size)
+            expr[piv, :nw] = red[:r, ae:]
+            expr[piv, nw:] = -red[:r, gens] % p
+            expr[gens, nw + np.arange(gens.size)] = 1
+            reads.append((e, expr))
+            if r == nw:
                 continue  # no relation lands in e
-            imgs = images(e)
-            cons = (imgs[:, own] + along_words(red[r:, ae + rest], imgs[:, rest])) % p
+            cons = along_words(red[r:, ae:], images(e)[:, :nw])
         else:
             cons = images(e)  # every word is a relation where a_e = 0
         if cons.any():
             u = matmul_mod(left_kernel_basis(cons.reshape(len(u), -1), p).basis, u, p)
 
-    def flatten() -> np.ndarray:
-        flat = [along_words(expr, images(e)[:, cols]).reshape(len(u), -1) for e, cols, expr in reads]
-        return np.hstack(flat)
+    def maps() -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        flat = [along_words(expr, images(e)).reshape(len(u), -1) for e, expr in reads]
+        return np.hstack(flat), slots
 
-    return u, flatten
+    return u, maps
 
 
 def hom_dim(a: GradedModule, b: GradedModule) -> int:
@@ -670,14 +676,25 @@ def hom_dim(a: GradedModule, b: GradedModule) -> int:
     return len(_hom_solve(a, b)[0])
 
 
-def hom_space(a: GradedModule, b: GradedModule) -> Subspace:
+@dataclass(eq=False)
+class HomSubspace(Subspace):
+    """A Hom space as hom_space returns it: the RREF basis of its flattened
+    maps, with the source's generator slots that _hom_solve found (its
+    maps() docstring).  A map is fixed by its rows at these slots."""
+
+    slots: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def hom_space(a: GradedModule, b: GradedModule) -> HomSubspace:
     """The degree-zero Hom space as the RREF basis of its flattened maps
-    (flatten_map's layout, ambient hom_space_dim_layout(a, b))."""
-    u, flatten = _hom_solve(a, b)
+    (flatten_map's layout, ambient hom_space_dim_layout(a, b)), with the
+    source's generator slots."""
+    u, maps = _hom_solve(a, b)
     ambient = hom_space_dim_layout(a, b)
     if not len(u):
-        return zero_subspace(ambient, a.p)
-    return subspace_from_rows(flatten(), ambient, a.p)
+        return HomSubspace(ambient, zeros(0, ambient), a.p)
+    flat, slots = maps()
+    return HomSubspace(ambient, subspace_from_rows(flat, ambient, a.p).basis, a.p, slots)
 
 
 # -- isomorphism testing ----------------------------------------------------

@@ -13,9 +13,12 @@ Ext dimensions build no such subspace.  A minimal cover sequence
 Hom(P, N) -> Hom(Omega X, N) -> Ext^1(X, N) -> 0, and Hom(P, N) is the sum
 of N_g over P's generator degrees g.
 
-A Hom space is the Subspace gmod.hom_space returns, the RREF basis of its
-flattened maps: coordinates are read from its rows, and maps are built only
-where a composite or a caller needs them.  hom_dim (gmod's) flattens no map.
+A Hom space is the HomSubspace gmod.hom_space returns: the RREF basis of
+its flattened maps, with the source's generator slots.  A map is fixed by
+its generator images, so End's structure constants and the ptriv subspace
+compose maps only at those slots, one product per degree, and read
+coordinates through the basis maps' generator rows; they build no
+ModuleMap.  hom_dim (gmod's) flattens no map.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exterior, gmod, homology
+from . import exterior, gmod, homology, linalg
 from .gmod import GradedModule, ModuleMap, hom_dim
 from .linalg import (
     Subspace,
     coords_in_rref_basis,
     kernel_basis,
     matmul_mod,
+    rref,
     subspace_from_rows,
     zero_subspace,
     zeros,
@@ -74,30 +78,57 @@ class HomSpace:
         return [gmod.map_from_flat(self.source, self.target, v) for v in reps]
 
 
-def _coords(space: Subspace, maps: list[ModuleMap]) -> np.ndarray:
-    """Coordinates of maps in the RREF basis of their flattened Hom space."""
-    flats = np.array([gmod.flatten_map(f) for f in maps], dtype=np.int64)
-    coords = coords_in_rref_basis(flats.reshape(len(maps), space.ambient), space)
-    if coords is None:
+def _gen_blocks(space: Subspace, a: GradedModule, b: GradedModule, degrees) -> dict[int, np.ndarray]:
+    """The blocks of space's basis maps a -> b in the listed degrees, as
+    (dim, a_d, b_d) arrays; a degree where a or b is zero has none."""
+    out, ofs = {}, 0
+    for d in gmod._blocks_layout(a, b):
+        size = a.dim(d) * b.dim(d)
+        if d in degrees:
+            out[d] = space.basis[:, ofs : ofs + size].reshape(-1, a.dim(d), b.dim(d))
+        ofs += size
+    return out
+
+
+def _gen_coords(w: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates x with x·w = row for each row, w the basis maps'
+    generator rows (independent, since a map is fixed by its generator
+    images).  x is the row at RREF(w)'s pivot columns times the inverse of
+    w there.  A full product checks that every row lies in w's row space,
+    so a row that is no map of the space raises ValueError."""
+    dim = len(w)
+    piv = rref(w, p)[2]
+    inv = rref(np.hstack([w[:, piv], linalg.identity(dim)]), p)[1][:, dim:]
+    coords = matmul_mod(rows[:, piv], inv, p)
+    if not np.array_equal(matmul_mod(coords, w, p), rows):
         raise ValueError("map is not in the Hom space")
     return coords
 
 
-def factor_through_projectives(m: GradedModule, n: GradedModule, space: Subspace) -> Subspace:
+def factor_through_projectives(m: GradedModule, n: GradedModule, space: gmod.HomSubspace) -> Subspace:
     """Maps m -> n factoring through a projective, in Hom-basis coordinates.
 
     space is gmod.hom_space(m, n).  The subspace is { g∘ι : g ∈ Hom(I(m), n) }
     for ι the minimal injective envelope of the source; every projective
     factorization extends over ι by injectivity, so this is the whole
-    subspace.
+    subspace.  A composite is read at m's generator slots only: at a
+    generator x of degree e it sends x to (x·ι)·g, ι's slot row times g's
+    degree-e block.
     """
     if not space.dim:
         return zero_subspace(0, m.p)
+    p, slots = m.p, space.slots
     env, mono = homology.injective_envelope(m)
-    composites = [
-        gmod.map_compose(mono, gmod.map_from_flat(env, n, v)) for v in gmod.hom_space(env, n).basis
-    ]
-    return subspace_from_rows(_coords(space, composites), space.dim, m.p)
+    env_space = gmod.hom_space(env, n)
+    blocks = _gen_blocks(space, m, n, slots)
+    w = np.hstack([blk[:, slots[e]].reshape(space.dim, -1) for e, blk in blocks.items()])
+    rows = []
+    for e, blk in _gen_blocks(env_space, env, n, slots).items():
+        k, ee, ne = blk.shape
+        g = len(slots[e])
+        prod = matmul_mod(mono.block(e)[slots[e]], blk.transpose(1, 0, 2).reshape(ee, k * ne), p)
+        rows.append(prod.reshape(g, k, ne).transpose(1, 0, 2).reshape(k, g * ne))
+    return subspace_from_rows(_gen_coords(w, np.hstack(rows), p), space.dim, p)
 
 
 def hom_basis(m: GradedModule, n: GradedModule) -> HomSpace:
@@ -204,10 +235,18 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     p = m.p
     if dim == 0:
         return FiniteAlgebra(0, p, np.zeros((0, 0, 0), dtype=np.int64), zeros(1, 0)[0], [zero_subspace(0, p)])
-    basis = [gmod.map_from_flat(m, m, v) for v in space.basis]
-    # one row of products at a time keeps dim, not dim², composites alive
-    mult = np.stack([_coords(space, [gmod.map_compose(f, g) for g in basis]) for f in basis])
-    one = _coords(space, [gmod.identity_map(m)])[0]
+    # f then g sends a generator x of degree e to (x·f)·g: f's slot rows
+    # times g's degree-e block, for every pair (f, g) in one product
+    w, rows, one = [], [], []
+    for e, blk in _gen_blocks(space, m, m, space.slots).items():
+        at = blk[:, space.slots[e]]
+        g, me = at.shape[1], m.dim(e)
+        w.append(at.reshape(dim, -1))
+        prod = matmul_mod(at.reshape(dim * g, me), blk.transpose(1, 0, 2).reshape(me, dim * me), p)
+        rows.append(prod.reshape(dim, g, dim, me).transpose(0, 2, 1, 3).reshape(dim * dim, g * me))
+        one.append(linalg.identity(me)[space.slots[e]].reshape(1, -1))
+    coords = _gen_coords(np.hstack(w), np.vstack([np.hstack(rows), np.hstack(one)]), p)
+    mult, one = coords[:-1].reshape(dim, dim, dim), coords[-1]
     rad = algebra_radical_subspace(dim, p, mult)
     filtration = _radical_filtration(dim, p, mult, rad)
     return FiniteAlgebra(dim, p, mult, one, filtration)

@@ -164,18 +164,23 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _rref_small(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
+def _rref_small(a: np.ndarray, p: int, cols: int | None = None) -> tuple[int, np.ndarray, list[int]]:
+    # One pivot at a time.  With cols given, pivots are sought in the first
+    # cols columns only, and the row operations still run over every column:
+    # for [A | I] this leaves RREF(A) beside a transform T, and below the
+    # rank rows whose A part is zero and whose I part spans A's left kernel.
     m, n = a.shape
     r = a % p
     pivots: list[int] = []
     row = 0
-    for col in range(n):
+    for col in range(n if cols is None else cols):
         if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+        # argmax finds a nonzero entry without listing them all; any one
+        # serves, since the RREF is unique
+        k = row + int(r[row:, col].argmax())
+        if not r[k, col]:
             continue
-        k = row + int(nz[0])
         if k != row:
             r[[row, k]] = r[[k, row]]
         # left of col the pivot row is zero, so only columns col: change

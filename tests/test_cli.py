@@ -777,10 +777,11 @@ print(json.dumps([code, [m for m in absent if "exalg." + m in sys.modules]]))
 
 @pytest.mark.parametrize(
     "argv, absent",
-    [(["validate", "FILE"], ["constructions", "homalg", "verify"]),
+    [(["validate", "FILE"], ["constructions", "homalg", "homology", "verify"]),
      (["betti", "FILE", "--json"], ["constructions", "homalg", "verify"]),
      (["hom", "FILE", "FILE"], ["constructions", "verify"]),
-     (["tensor", "FILE", "FILE"], ["verify"])],
+     (["tensor", "FILE", "FILE"], ["verify"]),
+     (["shift", "FILE", "-i", "1"], ["constructions", "homalg", "homology", "verify"])],
 )
 def test_cli_command_imports_only_what_it_runs(argv, absent, point_file):
     argv = [point_file if a == "FILE" else a for a in argv]

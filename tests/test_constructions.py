@@ -8,6 +8,7 @@ import pytest
 from exalg import constructions as cons
 from exalg import exterior, gmod, homalg, homology, modfile
 from exalg import linalg as la
+from test_homalg import flat_coords
 from test_linalg import reduce_mod_subspace
 
 P = la.DEFAULT_PRIME
@@ -21,7 +22,7 @@ def x0(n_plus_1):
 
 def coords_of(space, f):
     """Coordinates of a map in the RREF basis of a HomSpace."""
-    return homalg._coords(space.space, [f])[0]
+    return flat_coords(space.space, [f])[0]
 
 
 def is_trivial(c):

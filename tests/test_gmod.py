@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from math import comb
 
 import numpy as np
@@ -453,6 +454,145 @@ def test_hom_space_matches_dense_on_random_structured_modules():
                 assert np.array_equal(f.block(d), s.block(d))
         done += 1
     assert done > 10
+
+
+def hom_solve_full_rref(a: gmod.GradedModule, b: gmod.GradedModule):
+    """The Hom solver as it was before each degree's elimination stopped at
+    A's columns: full RREF [R | T] of [A | I], relations in RREF with a 1 at
+    their own word, and each block read through the r words off those.
+    Returns (u, flatten) like gmod._hom_solve's (u, maps) without the slots."""
+    gmod._check_compatible(a, b)
+    p, n1 = a.p, a.n_plus_1
+    if not gmod.hom_space_dim_layout(a, b):
+        return la.zeros(0, 0), lambda: la.zeros(0, 0)
+    words: dict[int, list[np.ndarray]] = {}  # generator degree -> monomial_rows of its generators
+    units: dict[int, list[np.ndarray]] = {}  # the same for b's basis where b is nonzero
+    # the candidates: one vector of b_(deg g) per generator g found so far, degrees ascending
+    u = la.zeros(0, 0)
+    reads = []  # (e, word positions, the matrix taking their images to the block)
+
+    def images(e: int) -> np.ndarray:
+        # (candidates, words, b_e): each candidate's images of the words in degree e
+        parts, ofs = [np.zeros((len(u), 0, b.dim(e)), dtype=np.int64)], 0
+        for d, w in words.items():
+            g, bd = len(w[0]), b.dim(d)
+            if 0 <= e - d <= n1:
+                count = g * comb(n1, e - d)
+                if bd:
+                    ud = u[:, ofs : ofs + g * bd].reshape(-1, bd)
+                    img = la.matmul_mod(ud, units[d][e - d].reshape(bd, -1), p)
+                else:
+                    img = la.zeros(len(u) * count, b.dim(e))
+                parts.append(img.reshape(len(u), count, b.dim(e)))
+            ofs += g * bd
+        return np.concatenate(parts, axis=1)
+
+    def along_words(mat: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+        # mat (r, words) applied along the word axis: (candidates, r, b_e)
+        t, w, c = imgs.shape
+        out = la.matmul_mod(mat, imgs.transpose(1, 0, 2).reshape(w, t * c), p)
+        return out.reshape(len(mat), t, c).transpose(1, 0, 2)
+
+    for e in sorted(d for d in set(a.dims) | set(b.dims) if d <= b.max_deg):
+        ae, be = a.dim(e), b.dim(e)
+        if ae:
+            low = [w[e - d] for d, w in words.items() if e - d <= n1]
+            nw = sum(len(x) for x in low)
+            amat = np.vstack(low) if low else la.zeros(0, ae)
+            _, red, piv = la.rref(np.hstack([amat, la.identity(nw)]), p)
+            r = bisect_left(piv, ae)  # rows r.. have zero A part
+            gens = np.delete(np.arange(ae), piv[:r])
+            own = [c - ae for c in piv[r:]]  # each relation's own word
+            rest = np.delete(np.arange(nw), own)
+            if gens.size:
+                words[e] = gmod.monomial_rows(a, e, la.identity(ae)[gens])
+        if not be:
+            continue
+        if ae:
+            if gens.size:
+                units[e] = gmod.monomial_rows(b, e, la.identity(be))
+                k = gens.size * be
+                u = np.block([[u, la.zeros(len(u), k)], [la.zeros(k, u.shape[1]), la.identity(k)]])
+            expr = la.zeros(ae, ae)
+            expr[piv[:r], :r] = red[:r, ae + rest]
+            expr[piv[:r], r:] = -red[:r, gens] % p
+            expr[gens, r + np.arange(gens.size)] = 1
+            reads.append((e, np.concatenate([rest, nw + np.arange(gens.size)]), expr))
+            if not own:
+                continue  # no relation lands in e
+            imgs = images(e)
+            constraints = (imgs[:, own] + along_words(red[r:, ae + rest], imgs[:, rest])) % p
+        else:
+            constraints = images(e)  # every word is a relation where a_e = 0
+        if constraints.any():
+            u = la.matmul_mod(gmod.left_kernel_basis(constraints.reshape(len(u), -1), p).basis, u, p)
+
+    def flatten() -> np.ndarray:
+        flat = [along_words(expr, images(e)[:, cols]).reshape(len(u), -1) for e, cols, expr in reads]
+        return np.hstack(flat)
+
+    return u, flatten
+
+
+def hom_space_full_rref(a, b):
+    u, flatten = hom_solve_full_rref(a, b)
+    ambient = gmod.hom_space_dim_layout(a, b)
+    if not len(u):
+        return la.zero_subspace(ambient, a.p)
+    return la.subspace_from_rows(flatten(), ambient, a.p)
+
+
+def generator_above_target_pair():
+    """A source with a generator in degree 2, above the target's top degree
+    1, and a nonzero Hom space."""
+    m = example_module_two_layer()
+    return gmod.direct_sum(m, gmod.shift(m, -2))[0], m
+
+
+def hom_oracle_pairs():
+    # point modules and P(2): relations that land where the target has
+    # socle, so each one cuts the candidates on its own
+    points = [cons.point_module(3, np.array(f), P) for f in ([1, 0, 0], [0, 1, 0], [1, 2, 5])]
+    pd2 = cons.filtration_projective(2, 2, P)
+    pairs = hom_fixture_pairs() + [generator_above_target_pair(), (pd2, pd2), (pd2, points[0])]
+    pairs += [(a, b) for a in points for b in points]
+    for t in range(40):
+        a, b = random_structured_module(1000 + t), random_structured_module(2000 + t)
+        if a.n_plus_1 == b.n_plus_1:
+            pairs.append((a, b))
+    return pairs
+
+
+def test_hom_solve_matches_the_full_rref_presentation():
+    # the relations found at A's columns span the same left kernel, so u,
+    # every dimension and every flattened map are the oracle's
+    pairs = hom_oracle_pairs()
+    assert len(pairs) > 30
+    nonzero = 0
+    for a, b in pairs:
+        u, _ = hom_solve_full_rref(a, b)
+        assert np.array_equal(gmod._hom_solve(a, b)[0], u)
+        assert gmod.hom_dim(a, b) == len(u)
+        got, want = gmod.hom_space(a, b), hom_space_full_rref(a, b)
+        assert got == want and got.basis.dtype == want.basis.dtype
+        nonzero += got.dim > 0
+    assert nonzero >= 15
+
+
+def test_hom_space_slots_are_the_top_generators_below_the_target_top():
+    for a, b in hom_oracle_pairs():
+        space = gmod.hom_space(a, b)
+        if not space.dim:
+            continue
+        tops = {}
+        for d, v in gmod.top_generators(a):
+            tops.setdefault(d, []).append(int(np.flatnonzero(v)[0]))
+        want = {d: s for d, s in tops.items() if d <= b.max_deg and b.dim(d)}
+        assert {d: s.tolist() for d, s in space.slots.items()} == want
+    a, b = generator_above_target_pair()
+    space = gmod.hom_space(a, b)
+    assert space.dim and 2 in dict(gmod.top_generators(a)) and b.max_deg == 1
+    assert list(space.slots) == [0]
 
 
 def test_iso_probable_symmetric_verdicts():

@@ -7,12 +7,20 @@ from exalg import constructions as cons
 from exalg import gmod, homalg, homology, modfile, verify
 from exalg import linalg as la
 from exalg.gmod import GradedModule
-from exalg.homalg import _coords
-from exalg.linalg import Subspace, subspace_from_rows, zero_subspace
-from test_gmod import hom_maps, random_structured_module
+from exalg.linalg import Subspace, coords_in_rref_basis, subspace_from_rows, zero_subspace
+from test_gmod import hom_maps, hom_oracle_pairs, random_structured_module
 from test_linalg import full_subspace
 
 P = la.DEFAULT_PRIME
+
+
+def flat_coords(space: Subspace, maps: list[gmod.ModuleMap]) -> np.ndarray:
+    """Coordinates of maps in the RREF basis of their flattened Hom space."""
+    flats = np.array([gmod.flatten_map(f) for f in maps], dtype=np.int64)
+    coords = coords_in_rref_basis(flats.reshape(len(maps), space.ambient), space)
+    if coords is None:
+        raise ValueError("map is not in the Hom space")
+    return coords
 
 
 def point_module(n_plus_1, form=None):
@@ -89,7 +97,7 @@ def factor_through_projectives_via_cover(
         return zero_subspace(0, m.p)
     cover, epi = homology.projective_cover(n)
     composites = [gmod.map_compose(h, epi) for h in hom_maps(m, cover)]
-    return subspace_from_rows(_coords(space, composites), space.dim, m.p)
+    return subspace_from_rows(flat_coords(space, composites), space.dim, m.p)
 
 
 def test_two_ptriv_routes_agree():
@@ -195,6 +203,100 @@ def test_end_algebra_solves_hom_once(monkeypatch):
     monkeypatch.setattr(gmod, "hom_space", counting)
     assert homalg.end_algebra(m).dim == 6
     assert len(calls) == 1
+
+
+def factor_through_projectives_by_flat_composites(
+    m: GradedModule, n: GradedModule, space: Subspace
+) -> Subspace:
+    """The ptriv subspace as homalg built it from whole composite maps:
+    each g∘ι composed, flattened and read in the flattened RREF basis."""
+    if not space.dim:
+        return zero_subspace(0, m.p)
+    env, mono = homology.injective_envelope(m)
+    composites = [
+        gmod.map_compose(mono, gmod.map_from_flat(env, n, v)) for v in gmod.hom_space(env, n).basis
+    ]
+    return subspace_from_rows(flat_coords(space, composites), space.dim, m.p)
+
+
+def end_algebra_by_flat_composites(m: GradedModule) -> homalg.FiniteAlgebra:
+    """End(m) as homalg built it: every product of basis maps composed and
+    read in the flattened RREF basis."""
+    space = gmod.hom_space(m, m)
+    dim, p = space.dim, m.p
+    if dim == 0:
+        mult = np.zeros((0, 0, 0), dtype=np.int64)
+        return homalg.FiniteAlgebra(0, p, mult, la.zeros(1, 0)[0], [zero_subspace(0, p)])
+    basis = [gmod.map_from_flat(m, m, v) for v in space.basis]
+    mult = np.stack([flat_coords(space, [gmod.map_compose(f, g) for g in basis]) for f in basis])
+    one = flat_coords(space, [gmod.identity_map(m)])[0]
+    rad = homalg.algebra_radical_subspace(dim, p, mult)
+    return homalg.FiniteAlgebra(dim, p, mult, one, homalg._radical_filtration(dim, p, mult, rad))
+
+
+def generator_image_fixture_pairs():
+    """The Hom oracle's pairs, and P(d), point, almost-split and Kronecker
+    modules against each other and their shifts."""
+    pairs = hom_oracle_pairs()
+    groups = [
+        [
+            cons.filtration_projective(2, 2, P),
+            cons.filtration_projective(2, 3, P),
+            point_module(3),
+            point_module(3, [1, 2, 5]),
+            cons.ar_sequence_middle(2, P).middle,
+        ],
+        [cons.kronecker_family(i, 1, P) for i in (-2, 1, 2)] + [point_module(2)],
+    ]
+    for group in groups:
+        pairs += [(a, gmod.shift(b, i)) for a in group for b in group for i in (-1, 0, 1)]
+    return pairs
+
+
+def test_ptriv_and_end_match_the_flat_composite_oracles():
+    pairs = generator_image_fixture_pairs()
+    ptriv = ends = 0
+    for a, b in pairs:
+        space = gmod.hom_space(a, b)
+        got = homalg.factor_through_projectives(a, b, space)
+        assert got == factor_through_projectives_by_flat_composites(a, b, space)
+        ptriv += got.dim > 0
+    for m in {id(m): m for pair in pairs for m in pair}.values():
+        got = homalg.end_algebra(m)
+        assert got.to_json_dict() == end_algebra_by_flat_composites(m).to_json_dict()
+        ends += got.dim > 1
+    assert ptriv > 30 and ends > 10, (ptriv, ends)
+
+
+def test_end_and_hom_basis_compose_no_maps(monkeypatch):
+    def forbidden(f, g):
+        raise AssertionError("map_compose called")
+
+    m = cons.filtration_projective(2, 3, P)
+    n = gmod.shift(point_module(3), 1)
+    want = homalg.end_algebra(m).to_json_dict(), homalg.stable_hom_dim(m, n)
+    monkeypatch.setattr(gmod, "map_compose", forbidden)
+    assert (homalg.end_algebra(m).to_json_dict(), homalg.hom_basis(m, n).stable_dim) == want
+    assert want[1] == 4 and len(want[0]["one"]) == 6
+
+
+def test_generator_coordinates_check_membership():
+    # rows off the span of the generator rows are no map of the space
+    m = cons.filtration_projective(2, 3, P)
+    space = gmod.hom_space(m, m)
+    blocks = homalg._gen_blocks(space, m, m, space.slots)
+    w = np.hstack([b[:, space.slots[e]].reshape(space.dim, -1) for e, b in blocks.items()])
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, P, (4, space.dim), dtype=np.int64)
+    rows = la.matmul_mod(x, w, P)
+    assert np.array_equal(homalg._gen_coords(w, rows, P), x)
+    # a unit vector off RREF(w)'s pivot columns is no combination of w's rows
+    free = np.delete(np.arange(w.shape[1]), la.rref(w, P)[2])
+    assert free.size
+    bad = rows.copy()
+    bad[2, free[0]] = (bad[2, free[0]] + 1) % P
+    with pytest.raises(ValueError, match="not in the Hom space"):
+        homalg._gen_coords(w, bad, P)
 
 
 def test_ext_dims_of_point_module():

@@ -164,6 +164,66 @@ def test_rref_small_matches_reference_on_rank_deficient_and_sparse():
         assert np.array_equal(got[1], want[1])
 
 
+def low_rank_sparse_and_late_largest(rng: np.random.Generator, p: int):
+    """Random low-rank and sparse matrices, and matrices whose columns hold
+    their largest entry below their first nonzero entry."""
+    for k in range(120):
+        m, n = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        if k % 3 == 0:
+            inner = int(rng.integers(0, min(m, n) + 1))
+            yield matmul_mod(random_matrix(rng, m, inner, p), random_matrix(rng, inner, n, p), p)
+        elif k % 3 == 1:
+            yield random_matrix(rng, m, n, p) * (rng.random((m, n)) < 0.3)
+        else:
+            # each column: zeros, a small first nonzero, then p - 1 lower down
+            a = random_matrix(rng, m + 2, n, p) * (rng.random((m + 2, n)) < 0.5)
+            for c in range(n):
+                top = int(rng.integers(0, m))
+                a[:top, c] = 0
+                a[top, c] = 1 + c % 2
+                a[top + 1 + int(rng.integers(0, 2)), c] = p - 1
+            yield a
+
+
+@pytest.mark.parametrize("p", [5, 32003, 94906249])
+def test_rref_matches_reference_whichever_entry_is_the_pivot(p):
+    # the per-pivot loop takes any nonzero entry of a column as the pivot,
+    # the reference the first one: the RREF is unique, so they agree
+    rng = np.random.default_rng(p)
+    late = 0
+    for a in low_rank_sparse_and_late_largest(rng, p):
+        got, want = la.rref(a, p), rref_reference(a, p)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+        nz = a != 0
+        late += any(nz[:, c].any() and np.argmax(a[:, c]) != np.argmax(nz[:, c]) for c in range(a.shape[1]))
+    assert late >= 40
+
+
+@pytest.mark.parametrize("p", [5, 32003, 94906249])
+def test_column_bounded_elimination_finds_the_left_kernel(p):
+    # [A | I] reduced over A's columns only: the rows above the rank are
+    # RREF(A) beside a transform T with T·A = R; the rows below it have a
+    # zero A part, and their I part spans A's left kernel
+    rng = np.random.default_rng(p + 1)
+    # the last [A | I] is above the blocked path's size threshold
+    tall = matmul_mod(random_matrix(rng, 150, 40, p), random_matrix(rng, 40, 60, p), p)
+    assert 150 * (60 + 150) > la._BLOCK_THRESHOLD
+    for a in [*low_rank_sparse_and_late_largest(rng, p), tall]:
+        m, n = a.shape
+        r, red, piv = la._rref_small(np.hstack([a, la.identity(m)]), p, n)
+        rank, ra, pa = rref_reference(a, p)
+        assert r == rank and piv == pa
+        assert np.array_equal(red[:r, :n], ra[:r])
+        assert not red[r:, :n].any()
+        t = red[:, n:]
+        assert np.array_equal(matmul_mod(t, a, p), red[:, :n])
+        rel = t[r:]
+        assert not matmul_mod(rel, a, p).any()
+        assert la.rref(rel, p)[0] == m - rank
+        assert subspace_from_rows(rel, m, p) == left_kernel_basis(a, p)
+
+
 def test_rref_blocked_path_matches_small_path():
     rng = np.random.default_rng(11)
     for rows, cols in [(140, 150), (150, 90), (200, 200)]:
