@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exterior, gmod, homalg, homology
 from .gmod import GradedModule, ModuleMap
-from .linalg import identity, left_kernel_basis, matmul_mod, rref, zeros
+from .linalg import identity, left_kernel_basis, matmul_mod, rref, solve, subspace_from_rows, zeros
 
 
 class DependentForms(ValueError):
@@ -70,15 +70,8 @@ def span_quotient(n_plus_1: int, forms, p: int) -> GradedModule:
     completion = _completion_to_basis(mat, p)
     # with A = completion^{-1}, each given form composed with the
     # substitution becomes a coordinate form killed by the base module
-    cinv = _invert(completion, p)
+    cinv = solve(completion, identity(n_plus_1), p)
     return gmod.transport(base, cinv)
-
-
-def _invert(a: np.ndarray, p: int) -> np.ndarray | None:
-    """The inverse of a square matrix, or None if it is singular."""
-    n = a.shape[0]
-    _, red, piv = rref(np.hstack([a % p, identity(n)]), p)
-    return red[:, n:] if piv == list(range(n)) else None
 
 
 def point_module(n_plus_1: int, form, p: int) -> GradedModule:
@@ -158,17 +151,14 @@ def realize_ext(c: ExtClass) -> Extension:
     """
     p = c.sub.p
     total, (inc_m, _), (_, pr_p) = gmod.direct_sum(c.sub, c.cover)
-    seeds: dict[int, list[np.ndarray]] = {}
-    for d in c.syz.degrees:
-        rows = np.hstack([
-            c.cocycle.block(d),
-            (-c.syz_incl.block(d)) % p,
-        ])
-        seeds.setdefault(d, []).extend(rows)
-    spans = gmod._closure_subspaces(total, seeds)
-    for d, s in spans.items():
-        if s.dim != c.syz.dim(d):
-            raise ValueError("antidiagonal image is not degreewise embedded")
+    # the antidiagonal is the image of the module map (cocycle, -incl), so
+    # its degreewise spans are already action-stable
+    spans = {
+        d: subspace_from_rows(np.hstack([c.cocycle.block(d), -c.syz_incl.block(d) % p]), total.dim(d), p)
+        for d in c.syz.degrees
+    }
+    if any(s.dim != c.syz.dim(d) for d, s in spans.items()):
+        raise ValueError("antidiagonal image is not degreewise embedded")
     middle, proj_to_mid = gmod.quotient_by_subspaces(total, spans)
     incl = gmod.map_compose(inc_m, proj_to_mid)
     # the map E -> X induced by (m, q) -> epi(q): well-defined as the
@@ -323,7 +313,7 @@ def _find_point_class(layer: GradedModule) -> tuple[int, ...] | None:
     if ker.shape[0] != t:
         return None
     for block in np.split(ker, n1, axis=1):
-        inv = _invert(block, p)
+        inv = solve(block, identity(t), p)
         if inv is not None:
             break
     else:

@@ -555,15 +555,19 @@ def flatten_map(f: ModuleMap) -> np.ndarray:
     return np.concatenate([f.block(d).ravel() for d in layout])
 
 
-def map_from_flat(a: GradedModule, b: GradedModule, vec: np.ndarray) -> ModuleMap:
-    layout = _blocks_layout(a, b)
-    blocks = {}
-    ofs = 0
-    for d in layout:
+def split_flat(a: GradedModule, b: GradedModule, flat: np.ndarray) -> dict[int, np.ndarray]:
+    """Cut maps a -> b in flatten_map's layout, an array of shape
+    (..., ambient), into their blocks {d: (..., a_d, b_d)}, as views."""
+    blocks, ofs = {}, 0
+    for d in _blocks_layout(a, b):
         r, c = a.dim(d), b.dim(d)
-        blocks[d] = np.asarray(vec[ofs : ofs + r * c], dtype=np.int64).reshape(r, c)
+        blocks[d] = flat[..., ofs : ofs + r * c].reshape(flat.shape[:-1] + (r, c))
         ofs += r * c
-    return ModuleMap(a, b, blocks)
+    return blocks
+
+
+def map_from_flat(a: GradedModule, b: GradedModule, vec: np.ndarray) -> ModuleMap:
+    return ModuleMap(a, b, split_flat(a, b, np.asarray(vec)))
 
 
 def hom_space_dim_layout(a: GradedModule, b: GradedModule) -> int:

@@ -14,11 +14,12 @@ Hom(P, N) -> Hom(Omega X, N) -> Ext^1(X, N) -> 0, and Hom(P, N) is the sum
 of N_g over P's generator degrees g.
 
 A Hom space is the HomSubspace gmod.hom_space returns: the RREF basis of
-its flattened maps, with the source's generator slots.  A map is fixed by
-its generator images, so End's structure constants and the ptriv subspace
-compose maps only at those slots, one product per degree, and read
-coordinates through the basis maps' generator rows; they build no
-ModuleMap.  hom_dim (gmod's) flattens no map.
+its flattened maps, with the source's generator slots; gmod.split_flat
+cuts it into blocks.  A map is fixed by its generator images, so End's
+structure constants and the ptriv subspace compose maps only at those
+slots, one product per degree, and read coordinates off the basis maps'
+generator rows with one linalg.solve; they build no ModuleMap.  hom_dim
+(gmod's) flattens no map.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .linalg import (
     coords_in_rref_basis,
     kernel_basis,
     matmul_mod,
-    rref,
+    solve,
     subspace_from_rows,
     zero_subspace,
     zeros,
@@ -78,31 +79,15 @@ class HomSpace:
         return [gmod.map_from_flat(self.source, self.target, v) for v in reps]
 
 
-def _gen_blocks(space: Subspace, a: GradedModule, b: GradedModule, degrees) -> dict[int, np.ndarray]:
-    """The blocks of space's basis maps a -> b in the listed degrees, as
-    (dim, a_d, b_d) arrays; a degree where a or b is zero has none."""
-    out, ofs = {}, 0
-    for d in gmod._blocks_layout(a, b):
-        size = a.dim(d) * b.dim(d)
-        if d in degrees:
-            out[d] = space.basis[:, ofs : ofs + size].reshape(-1, a.dim(d), b.dim(d))
-        ofs += size
-    return out
-
-
 def _gen_coords(w: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """Coordinates x with x·w = row for each row, w the basis maps'
     generator rows (independent, since a map is fixed by its generator
-    images).  x is the row at RREF(w)'s pivot columns times the inverse of
-    w there.  A full product checks that every row lies in w's row space,
-    so a row that is no map of the space raises ValueError."""
-    dim = len(w)
-    piv = rref(w, p)[2]
-    inv = rref(np.hstack([w[:, piv], linalg.identity(dim)]), p)[1][:, dim:]
-    coords = matmul_mod(rows[:, piv], inv, p)
-    if not np.array_equal(matmul_mod(coords, w, p), rows):
+    images, so x is unique).  A row outside w's row space makes its system
+    inconsistent: it is no map of the space and raises ValueError."""
+    x = solve(w.T, rows.T, p)
+    if x is None:
         raise ValueError("map is not in the Hom space")
-    return coords
+    return x.T
 
 
 def factor_through_projectives(m: GradedModule, n: GradedModule, space: gmod.HomSubspace) -> Subspace:
@@ -120,13 +105,15 @@ def factor_through_projectives(m: GradedModule, n: GradedModule, space: gmod.Hom
     p, slots = m.p, space.slots
     env, mono = homology.injective_envelope(m)
     env_space = gmod.hom_space(env, n)
-    blocks = _gen_blocks(space, m, n, slots)
-    w = np.hstack([blk[:, slots[e]].reshape(space.dim, -1) for e, blk in blocks.items()])
+    blocks = gmod.split_flat(m, n, space.basis)
+    w = np.hstack([blocks[e][:, sl].reshape(space.dim, -1) for e, sl in slots.items()])
+    env_blocks = gmod.split_flat(env, n, env_space.basis)
     rows = []
-    for e, blk in _gen_blocks(env_space, env, n, slots).items():
+    for e, sl in slots.items():
+        blk = env_blocks[e]
         k, ee, ne = blk.shape
-        g = len(slots[e])
-        prod = matmul_mod(mono.block(e)[slots[e]], blk.transpose(1, 0, 2).reshape(ee, k * ne), p)
+        g = len(sl)
+        prod = matmul_mod(mono.block(e)[sl], blk.transpose(1, 0, 2).reshape(ee, k * ne), p)
         rows.append(prod.reshape(g, k, ne).transpose(1, 0, 2).reshape(k, g * ne))
     return subspace_from_rows(_gen_coords(w, np.hstack(rows), p), space.dim, p)
 
@@ -238,13 +225,15 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     # f then g sends a generator x of degree e to (x·f)·g: f's slot rows
     # times g's degree-e block, for every pair (f, g) in one product
     w, rows, one = [], [], []
-    for e, blk in _gen_blocks(space, m, m, space.slots).items():
-        at = blk[:, space.slots[e]]
+    blocks = gmod.split_flat(m, m, space.basis)
+    for e, sl in space.slots.items():
+        blk = blocks[e]
+        at = blk[:, sl]
         g, me = at.shape[1], m.dim(e)
         w.append(at.reshape(dim, -1))
         prod = matmul_mod(at.reshape(dim * g, me), blk.transpose(1, 0, 2).reshape(me, dim * me), p)
         rows.append(prod.reshape(dim, g, dim, me).transpose(0, 2, 1, 3).reshape(dim * dim, g * me))
-        one.append(linalg.identity(me)[space.slots[e]].reshape(1, -1))
+        one.append(linalg.identity(me)[sl].reshape(1, -1))
     coords = _gen_coords(np.hstack(w), np.vstack([np.hstack(rows), np.hstack(one)]), p)
     mult, one = coords[:-1].reshape(dim, dim, dim), coords[-1]
     rad = algebra_radical_subspace(dim, p, mult)

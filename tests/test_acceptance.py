@@ -68,6 +68,12 @@ REPORT_SHA256 = {
     # recorded while is_relative_sub counted ranks of stacked radical
     # powers; every check PASSes
     ("relative", 5): "279441789978e14584c0a41644d3f0fd8952e9cf2323ed52384d1410d26a9a3f",
+    # recorded while homalg read generator coordinates through an inverse on
+    # RREF(W)'s pivots and walked the flattened Hom layout itself; every
+    # check PASSes
+    ("eisenbud", 5): "e7e9add73e05a2ff731c32476f17441847b79f131df0a1681a9e38b9c9b06fd5",
+    ("lemma2.1", 5): "1c4ff9ae939daabac0a06c4ae06e9d88cffecb6f465964ccc976599958783053",
+    ("cor2.2", 5): "f589491d58f1f422f3e001c199f6a6e3817e40f6544d8293851cf132ac8d83bf",
 }
 
 
@@ -221,6 +227,14 @@ def test_lemma27_suite_at_n5():
 def test_relative_suite_at_n5():
     # the extension class basis and the radical-compatibility check at n=5
     total, bad = _suites_pass(("relative", 5))
+    assert total and not bad, [c.check_id for c in bad]
+
+
+@pytest.mark.parametrize("name", ["eisenbud", "lemma2.1", "cor2.2"])
+def test_paper_suites_pinned_at_n5(name):
+    # syzygy periodicity, the stable Hom table (through the ptriv subspace)
+    # and the Ext vanishing windows at n=5
+    total, bad = _suites_pass((name, 5))
     assert total and not bad, [c.check_id for c in bad]
 
 

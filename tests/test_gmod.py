@@ -371,6 +371,25 @@ def test_hom_space_matches_dense_reference():
             assert f.commutes()
 
 
+def test_split_flat_inverts_flatten_map_on_a_batch():
+    skipped = 0
+    for a, b in hom_fixture_pairs():
+        basis = gmod.hom_space(a, b).basis
+        blocks = gmod.split_flat(a, b, basis)
+        assert list(blocks) == sorted(d for d in a.dims if b.dim(d))
+        skipped += any(d + 1 not in blocks for d in list(blocks)[:-1])
+        for d, blk in blocks.items():
+            assert blk.shape == (len(basis), a.dim(d), b.dim(d))
+            assert not blk.size or np.shares_memory(blk, basis)
+        for i, v in enumerate(basis):
+            f = gmod.ModuleMap(a, b, {d: blk[i] for d, blk in blocks.items()})
+            assert np.array_equal(gmod.flatten_map(f), v)
+            one = gmod.split_flat(a, b, v)
+            assert all(np.array_equal(one[d], blk[i]) for d, blk in blocks.items())
+    # a layout with a gap: a degree where the source lives and the target is zero
+    assert skipped
+
+
 def test_hom_space_finds_the_generators_in_its_own_eliminations(monkeypatch):
     pairs = hom_fixture_pairs()
 

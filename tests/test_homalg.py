@@ -284,8 +284,8 @@ def test_generator_coordinates_check_membership():
     # rows off the span of the generator rows are no map of the space
     m = cons.filtration_projective(2, 3, P)
     space = gmod.hom_space(m, m)
-    blocks = homalg._gen_blocks(space, m, m, space.slots)
-    w = np.hstack([b[:, space.slots[e]].reshape(space.dim, -1) for e, b in blocks.items()])
+    blocks = gmod.split_flat(m, m, space.basis)
+    w = np.hstack([blocks[e][:, s].reshape(space.dim, -1) for e, s in space.slots.items()])
     rng = np.random.default_rng(5)
     x = rng.integers(0, P, (4, space.dim), dtype=np.int64)
     rows = la.matmul_mod(x, w, P)

@@ -484,10 +484,25 @@ def test_solve_consistent_random():
     a = random_matrix(rng, 6, 4, P)
     x = random_matrix(rng, 4, 3, P)
     b = la.matmul_mod(a, x, P)
-    for col in b.T:
-        got = la.solve(a, col, P)
+    cols = [la.solve(a, col, P) for col in b.T]
+    for col, got in zip(b.T, cols):
         assert got is not None
         assert np.array_equal(la.matmul_mod(a, got.reshape(-1, 1), P).ravel(), col)
+    # a matrix right-hand side: one column of x per column of b, each the
+    # vector solve
+    got = la.solve(a, b, P)
+    assert got.shape == (4, 3)
+    assert np.array_equal(got, np.stack(cols, axis=1))
+    # one inconsistent column makes the whole system inconsistent
+    off = b.copy()
+    off[:, 1] = random_matrix(rng, 6, 1, P)[:, 0]
+    assert la.solve(a, off[:, 1], P) is None
+    assert la.solve(a, off, P) is None
+    # a singular square a has no inverse: solve against the identity fails
+    sq = la.matmul_mod(random_matrix(rng, 4, 3, P), random_matrix(rng, 3, 4, P), P)
+    assert la.solve(sq, la.identity(4), P) is None
+    inv = la.solve(a[:4], la.identity(4), P)
+    assert np.array_equal(la.matmul_mod(a[:4], inv, P), la.identity(4))
 
 
 def test_subspace_ops_equal_inputs():
