@@ -128,14 +128,13 @@ def cmd_hom(args, p) -> int:
     a, b = _load_module(args.a, p), _load_module(args.b, p)
     hs = homalg.hom_basis(a, b)
     if args.json:
+        blocks = gmod.split_flat(a, b, hs.space.basis)
         payload = {
             "p": p,
             "dim": hs.dim,
             "ptriv_dim": hs.ptriv.dim,
             "stable_dim": hs.stable_dim,
-            "basis": [
-                {str(d): f.block(d).tolist() for d in sorted(f.blocks)} for f in hs.basis
-            ],
+            "basis": [{str(d): blk[k].tolist() for d, blk in blocks.items()} for k in range(hs.dim)],
         }
         sys.stdout.write(modfile.canonical_json(payload))
     else:
@@ -345,9 +344,10 @@ def cli_main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # complexity, filter and verify
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.fn(args, _prime_from_env())
-    except (OSError, ValueError) as bad:
-        # ModuleFileError, ModulusMismatch, DependentForms and UnknownSuite included
-        print(f"error: {bad}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as bad:
+        # ModuleFileError, ModulusMismatch, DependentForms and UnknownSuite
+        # included; numpy's MemoryError names the allocation, a bare one nothing
+        print(f"error: {str(bad) or type(bad).__name__}", file=sys.stderr)
         return 2
 
 

@@ -244,10 +244,10 @@ def explicit_top_layer_quotient(n: int, d: int, p: int) -> GradedModule:
     if d < 2:
         raise ValueError("needs d >= 2")
     big = filtration_projective_explicit(n, d, p)
-    # the deepest words come last, after the len(_words(n, d - 1)) shorter ones
+    # the deepest words come last, after the len(_words(n, d - 1)) shorter ones;
+    # x_0 kills them and x_r (r >= 1) keeps the word: their span is a submodule
     first = len(_words(n, d - 1))
-    seeds = {j: list(np.eye(big.dim(j), dtype=np.int64)[first * comb(n, j) :]) for j in big.degrees}
-    spans = gmod._closure_subspaces(big, seeds)
+    spans = {j: subspace_from_rows(identity(big.dim(j))[first * comb(n, j) :], big.dim(j), p) for j in big.degrees}
     quot, _ = gmod.quotient_by_subspaces(big, spans)
     return quot
 

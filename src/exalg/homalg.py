@@ -16,10 +16,11 @@ of N_g over P's generator degrees g.
 A Hom space is the HomSubspace gmod.hom_space returns: the RREF basis of
 its flattened maps, with the source's generator slots; gmod.split_flat
 cuts it into blocks.  A map is fixed by its generator images, so End's
-structure constants and the ptriv subspace compose maps only at those
-slots, one product per degree, and read coordinates off the basis maps'
-generator rows with one linalg.solve; they build no ModuleMap.  hom_dim
-(gmod's) flattens no map.
+structure constants and the ptriv subspace go through one routine,
+_composite_coords: it composes maps only at those slots, one product per
+slot degree, and reads coordinates off the basis maps' slot rows with one
+linalg.solve, whose consistency is the membership check; it builds no
+ModuleMap.  hom_dim (gmod's) flattens no map.
 """
 
 from __future__ import annotations
@@ -79,12 +80,22 @@ class HomSpace:
         return [gmod.map_from_flat(self.source, self.target, v) for v in reps]
 
 
-def _gen_coords(w: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates x with x·w = row for each row, w the basis maps'
-    generator rows (independent, since a map is fixed by its generator
-    images, so x is unique).  A row outside w's row space makes its system
-    inconsistent: it is no map of the space and raises ValueError."""
-    x = solve(w.T, rows.T, p)
+def _composite_coords(a: GradedModule, b: GradedModule, space: gmod.HomSubspace, firsts, seconds) -> np.ndarray:
+    """Coordinates in space = gmod.hom_space(a, b) of each composite "first
+    map, then second map", first-major: (A·B, space.dim).  At slot degree e,
+    firsts[e] (A, slots_e, c_e) holds the first maps' slot rows and
+    seconds[e] (B, c_e, b_e) the second maps' blocks.  A map is fixed by its
+    slot rows, so x·W = the composites' slot rows, W the basis maps' (which
+    are independent), has one solution; a composite outside the space makes
+    the system inconsistent and raises ValueError."""
+    p, blocks = a.p, gmod.split_flat(a, b, space.basis)
+    w, rows = [], []
+    for e, sl in space.slots.items():
+        (na, g, c), nb, be = firsts[e].shape, len(seconds[e]), b.dim(e)
+        prod = matmul_mod(firsts[e].reshape(na * g, c), seconds[e].transpose(1, 0, 2).reshape(c, nb * be), p)
+        rows.append(prod.reshape(na, g, nb, be).transpose(0, 2, 1, 3).reshape(na * nb, g * be))
+        w.append(blocks[e][:, sl].reshape(space.dim, -1))
+    x = solve(np.hstack(w).T, np.hstack(rows).T, p)
     if x is None:
         raise ValueError("map is not in the Hom space")
     return x.T
@@ -96,26 +107,15 @@ def factor_through_projectives(m: GradedModule, n: GradedModule, space: gmod.Hom
     space is gmod.hom_space(m, n).  The subspace is { g∘ι : g ∈ Hom(I(m), n) }
     for ι the minimal injective envelope of the source; every projective
     factorization extends over ι by injectivity, so this is the whole
-    subspace.  A composite is read at m's generator slots only: at a
-    generator x of degree e it sends x to (x·ι)·g, ι's slot row times g's
-    degree-e block.
+    subspace.  Its spanning composites are ι, then each basis map of
+    Hom(I(m), n), read at m's generator slots by _composite_coords.
     """
     if not space.dim:
         return zero_subspace(0, m.p)
-    p, slots = m.p, space.slots
     env, mono = homology.injective_envelope(m)
-    env_space = gmod.hom_space(env, n)
-    blocks = gmod.split_flat(m, n, space.basis)
-    w = np.hstack([blocks[e][:, sl].reshape(space.dim, -1) for e, sl in slots.items()])
-    env_blocks = gmod.split_flat(env, n, env_space.basis)
-    rows = []
-    for e, sl in slots.items():
-        blk = env_blocks[e]
-        k, ee, ne = blk.shape
-        g = len(sl)
-        prod = matmul_mod(mono.block(e)[sl], blk.transpose(1, 0, 2).reshape(ee, k * ne), p)
-        rows.append(prod.reshape(g, k, ne).transpose(1, 0, 2).reshape(k, g * ne))
-    return subspace_from_rows(_gen_coords(w, np.hstack(rows), p), space.dim, p)
+    env_blocks = gmod.split_flat(env, n, gmod.hom_space(env, n).basis)
+    firsts = {e: mono.block(e)[None, sl] for e, sl in space.slots.items()}
+    return subspace_from_rows(_composite_coords(m, n, space, firsts, env_blocks), space.dim, m.p)
 
 
 def hom_basis(m: GradedModule, n: GradedModule) -> HomSpace:
@@ -222,20 +222,12 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     p = m.p
     if dim == 0:
         return FiniteAlgebra(0, p, np.zeros((0, 0, 0), dtype=np.int64), zeros(1, 0)[0], [zero_subspace(0, p)])
-    # f then g sends a generator x of degree e to (x·f)·g: f's slot rows
-    # times g's degree-e block, for every pair (f, g) in one product
-    w, rows, one = [], [], []
+    # the basis maps and, as map number dim, the identity, at slot degrees
     blocks = gmod.split_flat(m, m, space.basis)
-    for e, sl in space.slots.items():
-        blk = blocks[e]
-        at = blk[:, sl]
-        g, me = at.shape[1], m.dim(e)
-        w.append(at.reshape(dim, -1))
-        prod = matmul_mod(at.reshape(dim * g, me), blk.transpose(1, 0, 2).reshape(me, dim * me), p)
-        rows.append(prod.reshape(dim, g, dim, me).transpose(0, 2, 1, 3).reshape(dim * dim, g * me))
-        one.append(linalg.identity(me)[sl].reshape(1, -1))
-    coords = _gen_coords(np.hstack(w), np.vstack([np.hstack(rows), np.hstack(one)]), p)
-    mult, one = coords[:-1].reshape(dim, dim, dim), coords[-1]
+    maps = {e: np.concatenate([blocks[e], linalg.identity(m.dim(e))[None]]) for e in space.slots}
+    firsts = {e: maps[e][:, sl] for e, sl in space.slots.items()}
+    coords = _composite_coords(m, m, space, firsts, maps).reshape(dim + 1, dim + 1, dim)
+    mult, one = coords[:dim, :dim], coords[dim, dim]
     rad = algebra_radical_subspace(dim, p, mult)
     filtration = _radical_filtration(dim, p, mult, rad)
     return FiniteAlgebra(dim, p, mult, one, filtration)

@@ -196,26 +196,24 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _gamma_pattern(n_plus_1: int, j: int) -> list[np.ndarray]:
-    """Per variable l, the rows (positions of the y^(a) in Gamma_j with a_l > 0,
-    of their y^(a - e_l) in Gamma_{j-1}); a is the multiset of its letters, a
-    sorted tuple from combinations_with_replacement, so a - e_l drops one l."""
-    lower = {a: k for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j - 1))}
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n_plus_1)]
-    for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j)):
-        for l in set(a):
-            pairs[l].append((k, lower[a[: a.index(l)] + a[a.index(l) + 1 :]]))
-    return [np.array(p).T for p in pairs]
+def _gamma_pattern(n_plus_1: int, j: int) -> np.ndarray:
+    """up[l, k]: the position in Gamma_j of y^(b + e_l), b the k-th basis
+    element of Gamma_{j-1}.  Each y^(a) is the sorted letter tuple a from
+    combinations_with_replacement, so b + e_l inserts one l into b; every
+    (a, l) with a_l > 0 comes from exactly one (b, l)."""
+    upper = {a: k for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j))}
+    lower = list(combinations_with_replacement(range(n_plus_1), j - 1))
+    return np.array([[upper[tuple(sorted(b + (l,)))] for b in lower] for l in range(n_plus_1)])
 
 
-def _cartan_differential(m: GradedModule, s: int, j: int, pattern) -> np.ndarray:
-    """d on M_s ⊗ Gamma_j -> M_{s+1} ⊗ Gamma_{j-1}: v ⊗ y^(a) goes to
-    sum_l v·x_l ⊗ y^(a - e_l), so block (a, a - e_l) of _gamma_pattern(n_plus_1, j)
+def _cartan_differential(m: GradedModule, s: int, j: int, up: np.ndarray) -> np.ndarray:
+    """d on M_s ⊗ Gamma_j -> M_{s+1} ⊗ Gamma_{j-1}: v ⊗ y^(a) goes to sum_l
+    v·x_l ⊗ y^(a - e_l), so block (up[l, k], k) of up = _gamma_pattern(n_plus_1, j)
     is x_l's action.  Rows are indexed (a, basis of M_s), columns (b, basis of M_{s+1})."""
     sizes = [exterior.multiset_count(m.n_plus_1, i) for i in (j, j - 1)]
     blocks = np.zeros((sizes[0], m.dim(s), sizes[1], m.dim(s + 1)), dtype=np.int64)
-    for x, (src, dst) in enumerate(pattern):
-        blocks[src, :, dst, :] = m.action(x, s)
+    for x, src in enumerate(up):
+        blocks[src, :, np.arange(sizes[1]), :] = m.action(x, s)
     return blocks.reshape(sizes[0] * m.dim(s), -1)
 
 
@@ -229,9 +227,9 @@ def _cartan_rows(m: GradedModule, depth: int) -> list[list[int]]:
     steps = [s for s in m.degrees if m.dim(s + 1)]
     rank: dict[tuple[int, int], int] = {}  # (j, s): rank of d_j on M_s ⊗ Gamma_j
     for j in range(1, depth + 2) if steps else ():
-        pattern = _gamma_pattern(m.n_plus_1, j)
+        up = _gamma_pattern(m.n_plus_1, j)
         for s in steps:
-            rank[j, s] = rref(_cartan_differential(m, s, j, pattern), m.p)[0]
+            rank[j, s] = rref(_cartan_differential(m, s, j, up), m.p)[0]
     rows = []
     for i in range(depth + 1):
         size = exterior.multiset_count(m.n_plus_1, i)

@@ -1,8 +1,10 @@
 """
 The module interchange format: a JSON object with decimal-string degree
 keys (JSON keys are strings, and negative degrees must survive the trip)
-and flat row-major action matrices.  Serialization is canonical: UTF-8,
-sorted keys, LF newline, so equal modules produce identical bytes.
+and flat row-major action matrices.  Serialization is canonical for the
+blocks a module stores: UTF-8, sorted keys, LF newline.  A stored all-zero
+action block and an absent one both mean zero and compare equal, but they
+serialize differently ({"0":[0]} against {}).
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ def parse_dict(data: dict) -> GradedModule:
         if type(c) is not int or not 0 <= c <= MAX_DEGREE_DIM:
             raise ModuleFileError(f"dimension in degree {d} must be an integer in [0, {MAX_DEGREE_DIM}]")
         dims[d] = c
+    # optional, but they must agree with dims: to_dict writes 0 and -1 for the zero module
+    degrees = sorted(d for d, c in dims.items() if c) or [0, -1]
+    for key, want in (("min_deg", degrees[0]), ("max_deg", degrees[-1])):
+        if key in data and (type(data[key]) is not int or data[key] != want):
+            raise ModuleFileError(f"{key} must be the integer {want}, as dims give")
     if not isinstance(actions_raw, list) or len(actions_raw) != n_plus_1:
         raise ModuleFileError("actions must be an array with one object per variable")
     actions: list[dict[int, np.ndarray]] = []

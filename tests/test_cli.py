@@ -17,6 +17,7 @@ from exalg import gmod, homalg, homology, modfile, verify
 from exalg import linalg as la
 from exalg.cli import cli_main
 from test_constructions import change_basis
+from test_gmod import hom_fixture_pairs
 
 P = la.DEFAULT_PRIME
 
@@ -179,6 +180,48 @@ def test_parse_names_first_violated_invariant():
     }
     with pytest.raises(modfile.ModuleFileError, match="square-zero|anticommutation"):
         modfile.parse_dict(data)
+
+
+def test_parse_checks_min_and_max_deg_against_dims():
+    good = modfile.to_dict(gmod.shift(cons.point_module(2, np.array([1, 0]), P), -1))
+    assert (good["min_deg"], good["max_deg"]) == (1, 2)
+    for key, value in [("min_deg", 0), ("max_deg", 3), ("min_deg", -7), ("max_deg", 99), ("min_deg", True),
+                       ("max_deg", 2.0), ("max_deg", "2")]:
+        bad = json.loads(json.dumps(good))
+        bad[key] = value
+        with pytest.raises(modfile.ModuleFileError, match=key):
+            modfile.parse_dict(bad)
+    # the fields are optional; the zero module's are 0 and -1
+    bare = {k: v for k, v in good.items() if k not in ("min_deg", "max_deg")}
+    assert modfile.parse_dict(bare) == modfile.parse_dict(good)
+    zero = modfile.to_dict(gmod.zero_module(2, P))
+    assert (zero["min_deg"], zero["max_deg"]) == (0, -1) and modfile.parse_dict(zero).is_zero()
+    with pytest.raises(modfile.ModuleFileError, match="max_deg"):
+        modfile.parse_dict({**zero, "max_deg": 0})
+    for m in {id(m): m for pair in hom_fixture_pairs() for m in pair}.values():
+        text = modfile.serialize(m)
+        assert modfile.parse(text) == m and modfile.serialize(modfile.parse(text)) == text
+
+
+def test_cli_rejects_min_deg_that_disagrees_with_dims(tmp_path, capsys, monkeypatch):
+    doc = modfile.to_dict(gmod.shift(cons.point_module(3, np.array([1, 0, 0]), P), -3))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, "min_deg": -7, "max_deg": 99}), encoding="utf-8")
+    code, _, err = run_cli(["betti", str(path)], capsys=capsys)
+    assert code == 2 and err.startswith("error: min_deg")
+    code, out, _ = run_cli(["validate", str(path)], capsys=capsys)
+    assert code == 1 and out.startswith("invalid: min_deg")
+
+
+def test_cli_out_of_memory_exits_2_with_a_message(capsys, monkeypatch):
+    # numpy's MemoryError names the allocation; a bare one names itself
+    for error, want in [(MemoryError("Unable to allocate 6.73 GiB"), "error: Unable to allocate 6.73 GiB\n"),
+                        (MemoryError(), "error: MemoryError\n")]:
+        def exhausted(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(cons, "point_module", exhausted)
+        assert run_cli(["construct", "mxi", "--n", "40"], capsys=capsys) == (2, "", want)
 
 
 def test_cli_validate_ok(point_file, capsys, monkeypatch):
@@ -593,6 +636,24 @@ def test_cli_verify_unknown_suite(capsys, monkeypatch):
     code, _, err = run_cli(["verify", "--suite", "nope"], capsys=capsys)
     assert code == 2
     assert err.startswith("error: unknown suite")
+
+
+def test_cli_verify_text_report(capsys, monkeypatch):
+    code, out, _ = run_cli(["verify", "--suite", "lemma2.7", "--n", "2"], capsys=capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"suite lemma2.7  (p={P}, n=2, seed=0)"
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines[1:-1])
+    assert lines[-1] == "overall: PASS  (3 checks)"
+
+
+def test_undecided_check_verdicts():
+    suite = verify.Suite("s", 2, 0, P)
+    suite.timed("iso", "an iso claim", "ISO", lambda: "UNDECIDED")
+    suite.add("dim", "a dimension claim", 1, 1)
+    assert [c.verdict for c in suite.checks] == ["UNDECIDED", "PASS"]
+    assert verify.report_dict("s", suite.checks, 2, 0, P)["verdict"] == "UNDECIDED"
+    suite.add("bad", "a false claim", 1, 2)
+    assert verify.report_dict("s", suite.checks, 2, 0, P)["verdict"] == "FAIL"
 
 
 def test_cli_verify_json_deterministic(capsys, monkeypatch):

@@ -419,6 +419,21 @@ def test_filtration_projective_is_free_over_remaining_letters():
     assert sum(s.dim for s in socle.values()) == words
 
 
+@pytest.mark.parametrize("p", [5, 32003])
+def test_deepest_word_layer_spans_a_submodule(p):
+    # the closure of the deepest words' unit vectors adds nothing: the spans
+    # explicit_top_layer_quotient divides out are already action-stable
+    for n in range(1, 5):
+        for d in range(2, 5):
+            big = cons.filtration_projective_explicit(n, d, p)
+            first = len(cons._words(n, d - 1))
+            units = {j: la.identity(big.dim(j))[first * comb(n, j) :] for j in big.degrees}
+            closure = gmod._closure_subspaces(big, {j: list(u) for j, u in units.items()})
+            assert closure.keys() == {j for j, u in units.items() if len(u)}, (n, d)
+            for j, s in closure.items():
+                assert np.array_equal(s.basis, units[j]), (n, d, j)
+
+
 def test_explicit_top_layer_quotient_is_previous_projective():
     for n, d in ((2, 2), (2, 3), (2, 4), (1, 3)):
         quot = cons.explicit_top_layer_quotient(n, d, P)

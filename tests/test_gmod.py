@@ -262,6 +262,11 @@ def test_iso_probable_zero_hom_witness():
     assert verdict.kind == "UNDECIDED"
 
 
+def test_iso_probable_of_zero_modules():
+    verdict = gmod.iso_probable(gmod.zero_module(3, P), gmod.zero_module(3, P))
+    assert verdict and verdict.kind == "ISO" and verdict.certificate.blocks == {}
+
+
 def test_iso_probable_zero_hom_space_is_not_iso():
     # point modules of distinct forms: equal dimensions and, by lemma 2.1,
     # no nonzero map between them

@@ -281,7 +281,7 @@ def test_end_and_hom_basis_compose_no_maps(monkeypatch):
 
 
 def test_generator_coordinates_check_membership():
-    # rows off the span of the generator rows are no map of the space
+    # slot rows off the span of the basis maps' slot rows are no map of the space
     m = cons.filtration_projective(2, 3, P)
     space = gmod.hom_space(m, m)
     blocks = gmod.split_flat(m, m, space.basis)
@@ -289,14 +289,25 @@ def test_generator_coordinates_check_membership():
     rng = np.random.default_rng(5)
     x = rng.integers(0, P, (4, space.dim), dtype=np.int64)
     rows = la.matmul_mod(x, w, P)
-    assert np.array_equal(homalg._gen_coords(w, rows, P), x)
+
+    def coords(rows):
+        # the rows as first maps' slot rows, then the identity at each slot degree
+        cuts = np.cumsum([s.size * m.dim(e) for e, s in space.slots.items()])[:-1]
+        firsts = {
+            e: part.reshape(len(rows), s.size, m.dim(e))
+            for (e, s), part in zip(space.slots.items(), np.split(rows, cuts, axis=1))
+        }
+        ids = {e: la.identity(m.dim(e))[None] for e in space.slots}
+        return homalg._composite_coords(m, m, space, firsts, ids)
+
+    assert np.array_equal(coords(rows), x)
     # a unit vector off RREF(w)'s pivot columns is no combination of w's rows
     free = np.delete(np.arange(w.shape[1]), la.rref(w, P)[2])
     assert free.size
     bad = rows.copy()
     bad[2, free[0]] = (bad[2, free[0]] + 1) % P
     with pytest.raises(ValueError, match="not in the Hom space"):
-        homalg._gen_coords(w, bad, P)
+        coords(bad)
 
 
 def test_ext_dims_of_point_module():

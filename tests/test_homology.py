@@ -243,6 +243,26 @@ def cartan_by_exponents(m, depth):
     return diffs, rows
 
 
+def gamma_pairs_by_search(n_plus_1, j):
+    """Per letter l, the (Gamma_j, Gamma_{j-1}) position pairs (a, a - e_l),
+    found by searching each multiset a for l and dropping one.  The oracle
+    for homology._gamma_pattern."""
+    lower = {a: k for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j - 1))}
+    pairs = [set() for _ in range(n_plus_1)]
+    for k, a in enumerate(combinations_with_replacement(range(n_plus_1), j)):
+        for l in set(a):
+            pairs[l].add((k, lower[a[: a.index(l)] + a[a.index(l) + 1 :]]))
+    return pairs
+
+
+def test_gamma_pattern_inserts_each_letter():
+    for r in range(1, 6):
+        for j in range(1, 11):
+            up = homology._gamma_pattern(r, j)
+            assert up.shape == (r, ext.multiset_count(r, j - 1)), (r, j)
+            assert [set(zip(row.tolist(), range(up.shape[1]))) for row in up] == gamma_pairs_by_search(r, j)
+
+
 def test_module_in_one_degree_builds_no_cartan_differential(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a Cartan differential")
