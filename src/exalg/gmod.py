@@ -17,7 +17,8 @@ generators' monomial multiples.  One elimination per degree, of the lower
 generators' words beside an identity and bounded by the source's columns,
 yields both the generators in that degree and the relations landing there,
 so every elimination stays at per-degree size.  hom_space hands the
-generator slots on with the Hom space, and homalg reads composites there.
+generator slots on with the Hom space as {degree: slot indices}, the
+layout top_generators returns, and homalg reads composites there.
 
 The radical powers mJ, mJ², ... come from one lazy generator,
 radical_powers: top generators and Ext over the radical-square-zero
@@ -66,6 +67,8 @@ class GradedModule:
         for d, c in self.dims.items():
             if c < 0:
                 raise ValueError(f"negative dimension {c} in degree {d}")
+        if len(actions) > self.n_plus_1:
+            raise ValueError(f"{len(actions)} action lists for {self.n_plus_1} variables")
         acts: list[dict[int, np.ndarray]] = []
         for i in range(self.n_plus_1):
             given = actions[i] if i < len(actions) else {}
@@ -499,16 +502,13 @@ def socle(m: GradedModule) -> dict[int, Subspace]:
     }
 
 
-def top_generators(m: GradedModule) -> list[tuple[int, np.ndarray]]:
-    """A deterministic choice of minimal generators: one vector per top slot.
-
-    The slots are the non-pivot coordinates of the radical, degrees ascending.
-    """
-    return [
-        (d, v)
-        for d, rad in next(radical_powers(m)).items()
-        for v in linalg.identity(m.dim(d))[_nonpivots(m.dim(d), rad)]
-    ]
+def top_generators(m: GradedModule) -> dict[int, np.ndarray]:
+    """A deterministic choice of minimal generators as {degree: slots}, the
+    layout of HomSubspace.slots: the slots are the coordinates off the
+    radical's pivots, degrees ascending, and generator k of degree d is the
+    unit vector at slots[d][k].  Only degrees holding a generator are keys."""
+    npv = {d: _nonpivots(m.dim(d), rad) for d, rad in next(radical_powers(m)).items()}
+    return {d: sl for d, sl in npv.items() if sl.size}
 
 
 def square_truncate(m: GradedModule) -> GradedModule:

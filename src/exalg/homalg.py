@@ -136,7 +136,7 @@ def ext_dim(m: GradedModule, n: GradedModule, k: int = 1) -> int:
     x = homology.syzygy(m, k - 1) if k > 1 else m
     gens = gmod.top_generators(x)
     omega = homology.syzygy_step(x, gens)[0]
-    return hom_dim(omega, n) - sum(n.dim(g) for g, _ in gens) + hom_dim(x, n)
+    return hom_dim(omega, n) - sum(n.dim(g) * sl.size for g, sl in gens.items()) + hom_dim(x, n)
 
 
 # -- endomorphism algebras ---------------------------------------------------

@@ -48,21 +48,16 @@ class FreeModuleError(ValueError):
 
 
 def free_map_from_generators(
-    free: GradedModule,
-    gen_degrees: list[int],
-    target: GradedModule,
-    images: list[np.ndarray],
+    free: GradedModule, target: GradedModule, images: dict[int, np.ndarray]
 ) -> ModuleMap:
     """The unique module map from a free module sending generators to images.
 
-    images follow the generators in ascending degree; the free basis is
+    images[g] holds the images of the degree-g generators, one row each,
+    degrees ascending as gmod.free_module orders them; the free basis is
     indexed by (generator, monomial), which is gmod.monomial_rows' order
     for the images of one generator degree.
     """
-    tops: dict[int, list[np.ndarray]] = {}
-    for g, img in zip(sorted(int(g) for g in gen_degrees), images):
-        tops.setdefault(g, []).append(np.asarray(img, dtype=np.int64) % free.p)
-    pushed = {g: gmod.monomial_rows(target, g, np.array(v)) for g, v in tops.items()}
+    pushed = {g: gmod.monomial_rows(target, g, np.asarray(v, dtype=np.int64) % free.p) for g, v in images.items()}
     # e is at most target's top degree, so every generator reaching e has rows[e - g]
     blocks = {
         e: np.vstack([rows[e - g] for g, rows in pushed.items() if 0 <= e - g < len(rows)])
@@ -73,17 +68,18 @@ def free_map_from_generators(
 
 
 def projective_cover(
-    m: GradedModule, gens: list[tuple[int, np.ndarray]] | None = None
+    m: GradedModule, gens: dict[int, np.ndarray] | None = None
 ) -> tuple[GradedModule, ModuleMap]:
     """Minimal free cover: one generator per basis slot of m modulo radical.
 
-    A caller that already holds gmod.top_generators(m) passes it as gens.
+    gens is gmod.top_generators(m), {degree: slots}; a caller that already
+    holds it passes it.  Generator k of degree d goes to the unit vector at
+    gens[d][k].
     """
     if gens is None:
         gens = gmod.top_generators(m)
-    degrees = [d for d, _ in gens]
-    cover = gmod.free_module(m.n_plus_1, m.p, degrees)
-    epi = free_map_from_generators(cover, degrees, m, [v for _, v in gens])
+    cover = gmod.free_module(m.n_plus_1, m.p, [d for d, sl in gens.items() for _ in sl])
+    epi = free_map_from_generators(cover, m, {d: identity(m.dim(d))[sl] for d, sl in gens.items()})
     return cover, epi
 
 
@@ -97,7 +93,7 @@ def kernel_submodule(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
 
 
 def syzygy_step(
-    m: GradedModule, gens: list[tuple[int, np.ndarray]] | None = None
+    m: GradedModule, gens: dict[int, np.ndarray] | None = None
 ) -> tuple[GradedModule, ModuleMap, GradedModule, ModuleMap]:
     """(syzygy, inclusion, cover, epi) for one minimal cover of m.
 
@@ -433,31 +429,29 @@ def ar_translate(m: GradedModule) -> GradedModule:
     return gmod.shift(syz2, m.n_plus_1)
 
 
-def lift_through_cover(
-    free: GradedModule, degrees: list[int], images: list[np.ndarray], epi: ModuleMap
-) -> ModuleMap:
-    """A map free -> epi's source whose composite with epi sends generator k
-    to images[k] in epi's target.
+def lift_through_cover(free: GradedModule, images: dict[int, np.ndarray], epi: ModuleMap) -> ModuleMap:
+    """A map free -> epi's source whose composite with epi sends the
+    degree-g generators to the rows of images[g] in epi's target.
 
-    free is the free module on degrees (ascending).  Each generator goes to
-    a solved preimage of its image under epi, extended freely, so the lift
-    is a genuine module map.
+    free is the free module on images' generators, degrees ascending.  One
+    solve per degree finds preimages of every image of that degree under
+    epi, extended freely, so the lift is a genuine module map.
     """
-    pre = []
-    for g, img in zip(degrees, images):
-        x = solve(epi.block(g).T, img, free.p)
+    pre = {}
+    for g, img in images.items():
+        x = solve(epi.block(g).T, img.T, free.p)
         if x is None:
             raise ValueError("cannot lift through a non-surjective cover")
-        pre.append(x)
-    return free_map_from_generators(free, degrees, epi.source, pre)
+        pre[g] = x.T
+    return free_map_from_generators(free, epi.source, pre)
 
 
 def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
     """Induced maps on syzygies of a short exact sequence A -> B -> C.
 
-    Generator (d, v) of A's cover goes to v·incl in B, lifted through B's
-    cover; generator (d, v) of B's cover goes to v·proj in C, lifted through
-    C's cover.  The lifts restrict to the syzygies.  Returns (incl_s,
+    Generator k of degree d of A's cover goes to row gens_a[d][k] of incl's
+    block, lifted through B's cover; B's generators go through proj to C
+    the same way.  The lifts restrict to the syzygies.  Returns (incl_s,
     proj_s, exact) where exact reports whether the induced sequence of
     syzygies is again short exact degree-wise.
     """
@@ -468,12 +462,8 @@ def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):
     _, incl_b, cover_b, epi_b = syzygy_step(b, gens_b)
     _, incl_c, _, epi_c = syzygy_step(c)
 
-    def lift(cover: GradedModule, gens, f: ModuleMap, epi: ModuleMap) -> ModuleMap:
-        images = [matmul_mod(v[None, :], f.block(d), p)[0] for d, v in gens]
-        return lift_through_cover(cover, [d for d, _ in gens], images, epi)
-
-    lift_ab = lift(cover_a, gens_a, incl, epi_b)
-    lift_bc = lift(cover_b, gens_b, proj, epi_c)
+    lift_ab = lift_through_cover(cover_a, {d: incl.block(d)[sl] for d, sl in gens_a.items()}, epi_b)
+    lift_bc = lift_through_cover(cover_b, {d: proj.block(d)[sl] for d, sl in gens_b.items()}, epi_c)
 
     # restrict to kernels, checking each block where it is built
     def restrict(big: ModuleMap, sub_incl: ModuleMap, tgt_incl: ModuleMap) -> ModuleMap:

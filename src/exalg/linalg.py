@@ -402,21 +402,20 @@ def left_kernel_basis(mat, p: int) -> Subspace:
 def solve(a, b, p: int) -> np.ndarray | None:
     """Some x with a @ x = b, or None if the system is inconsistent.
 
-    b is a vector or a matrix of right-hand sides, one per column, and x
-    has b's trailing shape.  One elimination of [a | b]: a pivot in b's
-    columns means some column is inconsistent.  Otherwise x is zero at
-    a's free columns and reads the reduced b at its pivots, so it is the
-    one solution when a has full column rank (solve(a, identity(n), p) is
-    a's inverse, or None if a is singular)."""
+    b is a matrix of right-hand sides, one per column (a vector raises
+    ValueError).  One elimination of [a | b]: a pivot in b's columns means
+    some column is inconsistent.  Otherwise x is zero at a's free columns
+    and reads the reduced b at its pivots, so it is the one solution when a
+    has full column rank (solve(a, identity(n), p) is a's inverse, or None
+    if a is singular)."""
     a = _as_mat(a)
-    bv = np.asarray(b, dtype=np.int64) % p
-    if bv.ndim not in (1, 2) or bv.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"solve: {a.shape} vs b of shape {bv.shape}")
+    b = _as_mat(b) % p
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"solve: {a.shape} vs b of shape {b.shape}")
     n = a.shape[1]
-    rank, red, pivots = rref(np.hstack([a % p, bv[:, None] if bv.ndim == 1 else bv]), p)
+    rank, red, pivots = rref(np.hstack([a % p, b]), p)
     if pivots and pivots[-1] >= n:
         return None
-    x = zeros(n, red.shape[1] - n)
+    x = zeros(n, b.shape[1])
     x[pivots] = red[:rank, n:]
-    return x.reshape((n,) + bv.shape[1:])
-
+    return x

@@ -129,9 +129,21 @@ def _degree(key: str) -> int:
     raise ModuleFileError(f"degree key {key!r} is not a decimal integer")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads alone would keep the last of two equal keys without a word
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ModuleFileError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse(text: str) -> GradedModule:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ModuleFileError:
+        raise
     except ValueError as bad:  # JSONDecodeError, or an integer too long to convert
         raise ModuleFileError(f"not valid JSON: {bad}") from None
     return parse_dict(data)

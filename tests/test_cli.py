@@ -213,6 +213,26 @@ def test_cli_rejects_min_deg_that_disagrees_with_dims(tmp_path, capsys, monkeypa
     assert code == 1 and out.startswith("invalid: min_deg")
 
 
+# JSON objects with a repeated key, each of which json.loads alone would
+# read as its last occurrence: the zero action, p = 5, and dims[1] = 0
+REPEATED_KEY_FILES = [
+    ('{"version":"1","p":32003,"n_plus_1":1,"dims":{"0":1,"1":1},"actions":[{"0":[1],"0":[0]}]}', "0"),
+    ('{"version":"1","p":32003,"p":5,"n_plus_1":1,"dims":{"0":1},"actions":[{}]}', "p"),
+    ('{"version":"1","p":32003,"n_plus_1":1,"dims":{"0":1,"1":1,"1":0},"actions":[{"0":[1]}]}', "1"),
+]
+
+
+@pytest.mark.parametrize("text, key", REPEATED_KEY_FILES, ids=["action", "p", "dims"])
+def test_cli_rejects_a_repeated_key(text, key, tmp_path, capsys, monkeypatch):
+    with pytest.raises(modfile.ModuleFileError, match=f"repeated key '{key}'"):
+        modfile.parse(text)
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["validate", str(path)], capsys=capsys) == (1, f"invalid: repeated key '{key}'\n", "")
+    code, _, err = run_cli(["betti", str(path)], capsys=capsys)
+    assert code == 2 and err == f"error: repeated key '{key}'\n"
+
+
 def test_cli_out_of_memory_exits_2_with_a_message(capsys, monkeypatch):
     # numpy's MemoryError names the allocation; a bare one names itself
     for error, want in [(MemoryError("Unable to allocate 6.73 GiB"), "error: Unable to allocate 6.73 GiB\n"),

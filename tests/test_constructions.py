@@ -8,7 +8,9 @@ import pytest
 from exalg import constructions as cons
 from exalg import exterior, gmod, homalg, homology, modfile
 from exalg import linalg as la
+from test_gmod import top_degrees
 from test_homalg import flat_coords
+from test_exterior import wedge
 from test_linalg import reduce_mod_subspace
 
 P = la.DEFAULT_PRIME
@@ -61,7 +63,7 @@ def test_point_module_dimension_profile():
         assert gmod.validate(m) == []
         assert m.dims == {j: comb(n, j) for j in range(n + 1) if comb(n, j)}
         assert m.total_dim == 2 ** n
-        assert [d for d, _ in gmod.top_generators(m)] == [0]
+        assert top_degrees(m) == [0]
 
 
 def test_point_module_scaling_invariance():
@@ -372,7 +374,7 @@ def wedge_presentation(n, d, p):
         for wk, word in enumerate(words):
             for ak, a in enumerate(mons[j]):
                 for r in range(1, n + 1):
-                    right, left = exterior.wedge(a, (r,)), exterior.wedge((r,), a)
+                    right, left = wedge(a, (r,)), wedge((r,), a)
                     if right is not None:
                         actions[r][j][wk * w0 + ak, wk * w1 + col[j + 1][right[1]]] = right[0] % p
                     if left is not None and len(word) < d - 1:
@@ -465,7 +467,7 @@ def test_kronecker_family_members():
     s = cons.kronecker_family(0, 0, P)
     assert s.dims == {0: 1}
     f1 = cons.kronecker_family(1, 0, P)
-    assert [d for d, _ in gmod.top_generators(f1)] == [0, 0]
+    assert top_degrees(f1) == [0, 0]
     assert f1.dims == {0: 2, 1: 1}
     fm1 = cons.kronecker_family(-1, 0, P)
     assert fm1.dims == {-1: 1, 0: 2}

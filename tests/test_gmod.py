@@ -11,6 +11,11 @@ from exalg import linalg as la
 P = la.DEFAULT_PRIME
 
 
+def top_degrees(m):
+    """The degree of each top generator, one entry per generator."""
+    return [d for d, sl in gmod.top_generators(m).items() for _ in sl]
+
+
 def example_module_two_layer():
     """Four-dimensional module over three variables, Loewy length two.
 
@@ -184,10 +189,20 @@ def test_sub_quotient_by_socle_line_of_two_layer_algebra():
     assert quot.dims == {0: 1, 1: 2}
 
 
+def test_graded_module_rejects_more_action_lists_than_variables():
+    x = {0: [[1]]}
+    with pytest.raises(ValueError, match="3 action lists for 2 variables"):
+        gmod.GradedModule(2, P, {0: 1, 1: 1}, [{}, {}, x])
+    # a shorter list still means zero actions for the variables it leaves out
+    short = gmod.GradedModule(2, P, {0: 1, 1: 1}, [x])
+    assert short == gmod.GradedModule(2, P, {0: 1, 1: 1}, [x, {}])
+    assert not short.action(1, 0).any()
+
+
 def test_socle_radical_of_free():
     r = gmod.free_module(3, P, [0])
     socle, radical = gmod.socle(r), next(gmod.radical_powers(r))
-    assert [d for d, _ in gmod.top_generators(r)] == [0]
+    assert top_degrees(r) == [0]
     assert socle[3].dim == 1
     assert all(socle[d].dim == 0 for d in (0, 1, 2))
     assert radical[0].dim == 0 and radical[1].dim == 3
@@ -196,7 +211,7 @@ def test_socle_radical_of_free():
 def test_socle_radical_semisimple():
     m = gmod.GradedModule(2, P, {0: 2, 1: 1}, [{}, {}])
     socle, radical = gmod.socle(m), next(gmod.radical_powers(m))
-    assert [d for d, _ in gmod.top_generators(m)] == [0, 0, 1]
+    assert top_degrees(m) == [0, 0, 1]
     assert socle[0].dim == 2 and socle[1].dim == 1
     assert radical[0].dim == 0 and radical[1].dim == 0
 
@@ -608,14 +623,11 @@ def test_hom_space_slots_are_the_top_generators_below_the_target_top():
         space = gmod.hom_space(a, b)
         if not space.dim:
             continue
-        tops = {}
-        for d, v in gmod.top_generators(a):
-            tops.setdefault(d, []).append(int(np.flatnonzero(v)[0]))
-        want = {d: s for d, s in tops.items() if d <= b.max_deg and b.dim(d)}
+        want = {d: s.tolist() for d, s in gmod.top_generators(a).items() if d <= b.max_deg and b.dim(d)}
         assert {d: s.tolist() for d, s in space.slots.items()} == want
     a, b = generator_above_target_pair()
     space = gmod.hom_space(a, b)
-    assert space.dim and 2 in dict(gmod.top_generators(a)) and b.max_deg == 1
+    assert space.dim and 2 in gmod.top_generators(a) and b.max_deg == 1
     assert list(space.slots) == [0]
 
 
@@ -806,4 +818,4 @@ def test_top_generators_builds_only_the_first_radical_power(monkeypatch, p):
 
     monkeypatch.setattr(gmod, "matmul_mod", forbidden)
     f = gmod.free_module(3, p, [0, 1])
-    assert [d for d, _ in gmod.top_generators(f)] == [0, 1]
+    assert top_degrees(f) == [0, 1]

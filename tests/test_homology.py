@@ -10,7 +10,7 @@ from exalg import gmod, homology, modfile, verify
 from exalg import linalg as la
 from exalg.gmod import GradedModule, ModuleMap
 from exalg.linalg import matmul_mod, subspace_from_rows, zero_subspace
-from test_gmod import radical_image, random_structured_module
+from test_gmod import radical_image, random_structured_module, top_degrees
 from test_linalg import full_subspace, subspace_intersection
 
 P = la.DEFAULT_PRIME
@@ -23,14 +23,14 @@ def test_syzygy_of_ses_checks_the_projection_restriction(monkeypatch):
     real = homology.lift_through_cover
     calls = []
 
-    def skewed(free, degrees, images, epi):
+    def skewed(free, images, epi):
         calls.append(images)
         if len(calls) == 2:
             # send every generator of cover_b to the first unit vector of C,
             # a free map that does not vanish on the syzygy
-            first = np.eye(1, epi.target.dim(degrees[0]), dtype=np.int64)[0]
-            images = [first] * len(degrees)
-        return real(free, degrees, images, epi)
+            images = {g: np.eye(1, epi.target.dim(g), dtype=np.int64).repeat(len(rows), axis=0)
+                      for g, rows in images.items()}
+        return real(free, images, epi)
 
     monkeypatch.setattr(homology, "lift_through_cover", skewed)
     with pytest.raises(ValueError, match="does not land"):
@@ -84,8 +84,25 @@ def test_projective_cover_of_point_module():
 def test_projective_cover_of_example_module_two_generators():
     m = example_module_two_layer()
     cover, epi = homology.projective_cover(m)
-    assert [d for d, _ in gmod.top_generators(cover)] == [0, 0]
+    assert top_degrees(cover) == [0, 0]
     assert epi.commutes()
+
+
+def test_lift_through_cover_keeps_each_generator_on_its_own_row():
+    # two generators in degree 0, an epi whose degree-0 block is not
+    # symmetric and images that are not: a lift that transposed the
+    # per-degree solve, its system or its result would move a generator's
+    # image onto the other generator
+    m = example_module_two_layer()
+    free = gmod.free_module(3, P, [0, 0])
+    assert {d: sl.tolist() for d, sl in gmod.top_generators(free).items()} == {0: [0, 1]}
+    epi = homology.free_map_from_generators(free, m, {0: np.array([[1, 2], [0, 1]])})
+    images = {0: np.array([[3, 5], [7, 2]])}
+    lift = homology.lift_through_cover(free, images, epi)
+    assert lift.commutes()
+    assert np.array_equal(gmod.map_compose(lift, epi).block(0), images[0])
+    with pytest.raises(ValueError, match="non-surjective"):
+        homology.lift_through_cover(free, images, gmod.ModuleMap(free, m, {}))
 
 
 def test_kernel_of_cover_sits_in_radical():
@@ -139,11 +156,11 @@ def syzygy_rows(m, depth):
     """Rows 0..depth off the tops of Omega^0 .. Omega^depth: the oracle that
     cross-checks the Cartan rows."""
     gens = gmod.top_generators(m)
-    rows = [[d for d, _ in gens]]
+    rows = [[d for d, sl in gens.items() for _ in sl]]
     for _ in range(depth):
         m = homology.syzygy_step(m, gens)[0]
         gens = gmod.top_generators(m)
-        rows.append([d for d, _ in gens])
+        rows.append([d for d, sl in gens.items() for _ in sl])
     return rows
 
 
@@ -429,7 +446,7 @@ def test_cosyzygy_of_shifted_simple_kronecker():
     s = gmod.simple_module(2, P, 1)
     up = homology.cosyzygy(s, 1)
     assert up.dims == {-1: 1, 0: 2}
-    assert [d for d, _ in gmod.top_generators(up)] == [-1]
+    assert top_degrees(up) == [-1]
     socle = gmod.socle(up)
     assert socle[0].dim == 2
     back = homology.syzygy(up, 1)
@@ -602,9 +619,9 @@ def test_weakly_koszul_free_and_point_modules(n1):
 def test_syzygy_generation_degrees_shift_by_one():
     m = point_module(3)
     total, _, _ = gmod.direct_sum(m, gmod.shift(m, -1))
-    assert [d for d, _ in gmod.top_generators(total)] == [0, 1]
+    assert top_degrees(total) == [0, 1]
     omega = homology.syzygy(total)
-    assert [d for d, _ in gmod.top_generators(omega)] == [1, 2]
+    assert top_degrees(omega) == [1, 2]
 
 
 def test_regular_element_on_free_module():

@@ -460,23 +460,26 @@ def test_kernel_basis_is_canonical_rref(rows, cols):
 
 def test_solve_identity():
     b = np.array([4, 7, 1])
-    x = la.solve(np.eye(3, dtype=np.int64), b, P)
-    assert np.array_equal(x, b)
+    x = la.solve(np.eye(3, dtype=np.int64), b[:, None], P)
+    assert np.array_equal(x[:, 0], b)
 
 
 def test_solve_inconsistent():
-    assert la.solve(np.zeros((2, 2), dtype=np.int64), np.array([1, 0]), P) is None
+    assert la.solve(np.zeros((2, 2), dtype=np.int64), np.array([1, 0])[:, None], P) is None
 
 
 def test_solve_back_substitution():
     a = np.array([[1, 1], [0, 1]])
-    x = la.solve(a, np.array([3, 1]), P)
-    assert np.array_equal(x, np.array([2, 1]))
+    x = la.solve(a, np.array([3, 1])[:, None], P)
+    assert np.array_equal(x[:, 0], np.array([2, 1]))
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(la.DimensionMismatch):
-        la.solve(np.eye(2, dtype=np.int64), np.array([1, 2, 3]), P)
+        la.solve(np.eye(2, dtype=np.int64), np.array([1, 2, 3])[:, None], P)
+    # right-hand sides come as a matrix: a vector is refused, not reshaped
+    with pytest.raises(ValueError, match="2-d matrix"):
+        la.solve(np.eye(2, dtype=np.int64), np.array([1, 2]), P)
 
 
 def test_solve_consistent_random():
@@ -484,19 +487,19 @@ def test_solve_consistent_random():
     a = random_matrix(rng, 6, 4, P)
     x = random_matrix(rng, 4, 3, P)
     b = la.matmul_mod(a, x, P)
-    cols = [la.solve(a, col, P) for col in b.T]
+    cols = [la.solve(a, col[:, None], P) for col in b.T]
     for col, got in zip(b.T, cols):
         assert got is not None
-        assert np.array_equal(la.matmul_mod(a, got.reshape(-1, 1), P).ravel(), col)
-    # a matrix right-hand side: one column of x per column of b, each the
-    # vector solve
+        assert np.array_equal(la.matmul_mod(a, got, P)[:, 0], col)
+    # a matrix right-hand side: one column of x per column of b, each its
+    # one-column solve
     got = la.solve(a, b, P)
     assert got.shape == (4, 3)
-    assert np.array_equal(got, np.stack(cols, axis=1))
+    assert np.array_equal(got, np.hstack(cols))
     # one inconsistent column makes the whole system inconsistent
     off = b.copy()
     off[:, 1] = random_matrix(rng, 6, 1, P)[:, 0]
-    assert la.solve(a, off[:, 1], P) is None
+    assert la.solve(a, off[:, 1:2], P) is None
     assert la.solve(a, off, P) is None
     # a singular square a has no inverse: solve against the identity fails
     sq = la.matmul_mod(random_matrix(rng, 4, 3, P), random_matrix(rng, 3, 4, P), P)
