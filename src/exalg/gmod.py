@@ -22,7 +22,9 @@ layout top_generators returns, and homalg reads composites there.
 
 The radical powers mJ, mJ², ... come from one lazy generator,
 radical_powers: top generators and Ext over the radical-square-zero
-truncation read only mJ, and square_truncate divides out mJ².
+truncation read only mJ, and square_truncate divides out mJ².  The map
+out of a free module and the submodule some vectors generate come from one
+word list, generator_words, which covers, lifts and sub_quotient all read.
 """
 
 from __future__ import annotations
@@ -361,26 +363,6 @@ def direct_sum(*mods: GradedModule):
     return total, incls, projs
 
 
-def _closure_subspaces(m: GradedModule, seeds: dict[int, list[np.ndarray]]) -> dict[int, Subspace]:
-    """Smallest action-stable graded subspace containing the seed vectors."""
-    p = m.p
-    rows: dict[int, list[np.ndarray]] = {d: [np.asarray(v) % p for v in vs] for d, vs in seeds.items()}
-    if not rows:
-        return {}
-    lo = min(rows)
-    spans: dict[int, Subspace] = {}
-    for d in [e for e in m.degrees if e >= lo]:
-        here = rows.get(d, [])
-        mat = np.array(here, dtype=np.int64).reshape(len(here), m.dim(d))
-        spans[d] = subspace_from_rows(mat, m.dim(d), p)
-        if spans[d].dim and m.dim(d + 1):
-            nxt = rows.setdefault(d + 1, [])
-            for i in range(m.n_plus_1):
-                img = matmul_mod(spans[d].basis, m.action(i, d), p)
-                nxt.extend(img)
-    return {d: s for d, s in spans.items() if s.dim}
-
-
 def submodule_from_subspaces(m: GradedModule, spans: dict[int, Subspace]):
     """The module structure on an action-stable family of subspaces."""
     p = m.p
@@ -461,19 +443,17 @@ def is_short_exact(incl: ModuleMap, proj: ModuleMap) -> bool:
     return map_compose(incl, proj).is_zero()
 
 
-def sub_quotient(m: GradedModule, generators: list[tuple[int, np.ndarray]]):
+def sub_quotient(m: GradedModule, generators: dict[int, np.ndarray]):
     """Submodule generated by homogeneous vectors, plus the quotient.
 
-    Returns (sub, incl, quot, proj) with proj∘incl = 0 and degree-wise
-    dimensions adding up.
+    generators is {degree d: a 2-D batch of vectors in m_d}, empty or zero
+    batches allowed, and the spans are generator_words'.  Returns (sub, incl,
+    quot, proj) with proj∘incl = 0 and degree-wise dimensions adding up.
     """
-    seeds: dict[int, list[np.ndarray]] = {}
-    for d, v in generators:
-        v = np.asarray(v, dtype=np.int64)
-        if v.shape != (m.dim(d),):
-            raise ValueError(f"generator in degree {d} has wrong length")
-        seeds.setdefault(int(d), []).append(v)
-    spans = _closure_subspaces(m, seeds)
+    for d, rows in generators.items():
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != m.dim(d):
+            raise ValueError(f"generators in degree {d} need shape (k, {m.dim(d)}), got {np.shape(rows)}")
+    spans = {e: subspace_from_rows(w, m.dim(e), m.p) for e, w in generator_words(m, generators).items()}
     sub, incl = submodule_from_subspaces(m, spans)
     quot, proj = quotient_by_subspaces(m, spans)
     return sub, incl, quot, proj
@@ -520,7 +500,8 @@ def square_truncate(m: GradedModule) -> GradedModule:
 
 def monomial_rows(m: GradedModule, d0: int, top: np.ndarray) -> list[np.ndarray]:
     """Entry j holds the rows of top (vectors in m_d0) times every degree-j
-    monomial, in (row, monomial) order, up to j = n + 1 or m's top degree.
+    monomial, in (row, monomial) order (free_module's basis order), up to
+    j = n + 1 or m's top degree; only generator_words and _hom_solve call it.
 
     A monomial's row is its largest-variable predecessor's row pushed through
     that variable's action, which avoids any sign bookkeeping.
@@ -538,6 +519,19 @@ def monomial_rows(m: GradedModule, d0: int, top: np.ndarray) -> list[np.ndarray]
         out.append(cur.reshape(rows * len(mons), m.dim(d + 1)))
         prev = {mon: k for k, mon in enumerate(mons)}
     return out
+
+
+def generator_words(m: GradedModule, images: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """{e: rows} for each e where m_e is nonzero: the rows of images[g]
+    ({degree g: rows in m_g}), g ascending whatever the dict's order, times
+    every degree-(e - g) monomial.  These are the blocks of the map to m from
+    free_module(n + 1, p, [g for each row]) that sends its generators to the
+    rows, and they span the submodule the rows generate."""
+    words: dict[int, list[np.ndarray]] = {}
+    for g, rows in sorted(images.items()):
+        for j, w in enumerate(monomial_rows(m, g, np.asarray(rows, dtype=np.int64) % m.p)):
+            words.setdefault(g + j, []).append(w)
+    return {e: np.vstack(w) for e, w in words.items() if m.dim(e)}
 
 
 # -- Hom spaces ------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exterior, gmod, homology, linalg
+from . import exterior, gmod, homology
 from .gmod import GradedModule, ModuleMap, hom_dim
 from .linalg import (
     Subspace,
@@ -160,6 +160,7 @@ class FiniteAlgebra:
         return bool(np.array_equal(self.mult, self.mult.transpose(1, 0, 2)))
 
     def is_local(self) -> bool:
+        """End/rad = F_p, which implies indecomposability but is not implied by it."""
         return self.dim - self.radical.dim == 1
 
     def to_json_dict(self) -> dict:
@@ -222,12 +223,10 @@ def end_algebra(m: GradedModule) -> FiniteAlgebra:
     p = m.p
     if dim == 0:
         return FiniteAlgebra(0, p, np.zeros((0, 0, 0), dtype=np.int64), zeros(1, 0)[0], [zero_subspace(0, p)])
-    # the basis maps and, as map number dim, the identity, at slot degrees
     blocks = gmod.split_flat(m, m, space.basis)
-    maps = {e: np.concatenate([blocks[e], linalg.identity(m.dim(e))[None]]) for e in space.slots}
-    firsts = {e: maps[e][:, sl] for e, sl in space.slots.items()}
-    coords = _composite_coords(m, m, space, firsts, maps).reshape(dim + 1, dim + 1, dim)
-    mult, one = coords[:dim, :dim], coords[dim, dim]
+    firsts = {e: blocks[e][:, sl] for e, sl in space.slots.items()}
+    mult = _composite_coords(m, m, space, firsts, blocks).reshape(dim, dim, dim)
+    one = coords_in_rref_basis(gmod.flatten_map(gmod.identity_map(m))[None], space)[0]
     rad = algebra_radical_subspace(dim, p, mult)
     filtration = _radical_filtration(dim, p, mult, rad)
     return FiniteAlgebra(dim, p, mult, one, filtration)

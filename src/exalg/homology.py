@@ -47,26 +47,6 @@ class FreeModuleError(ValueError):
     """Raised when an operation requires a module with no free behaviour."""
 
 
-def free_map_from_generators(
-    free: GradedModule, target: GradedModule, images: dict[int, np.ndarray]
-) -> ModuleMap:
-    """The unique module map from a free module sending generators to images.
-
-    images[g] holds the images of the degree-g generators, one row each,
-    degrees ascending as gmod.free_module orders them; the free basis is
-    indexed by (generator, monomial), which is gmod.monomial_rows' order
-    for the images of one generator degree.
-    """
-    pushed = {g: gmod.monomial_rows(target, g, np.asarray(v, dtype=np.int64) % free.p) for g, v in images.items()}
-    # e is at most target's top degree, so every generator reaching e has rows[e - g]
-    blocks = {
-        e: np.vstack([rows[e - g] for g, rows in pushed.items() if 0 <= e - g < len(rows)])
-        for e in free.dims
-        if target.dim(e)
-    }
-    return ModuleMap(free, target, blocks)
-
-
 def projective_cover(
     m: GradedModule, gens: dict[int, np.ndarray] | None = None
 ) -> tuple[GradedModule, ModuleMap]:
@@ -74,12 +54,13 @@ def projective_cover(
 
     gens is gmod.top_generators(m), {degree: slots}; a caller that already
     holds it passes it.  Generator k of degree d goes to the unit vector at
-    gens[d][k].
+    gens[d][k], and the epi's blocks are those unit vectors' words
+    (gmod.generator_words).
     """
     if gens is None:
         gens = gmod.top_generators(m)
     cover = gmod.free_module(m.n_plus_1, m.p, [d for d, sl in gens.items() for _ in sl])
-    epi = free_map_from_generators(cover, m, {d: identity(m.dim(d))[sl] for d, sl in gens.items()})
+    epi = ModuleMap(cover, m, gmod.generator_words(m, {d: identity(m.dim(d))[sl] for d, sl in gens.items()}))
     return cover, epi
 
 
@@ -279,7 +260,7 @@ def lowest_step(m: GradedModule):
     if m.is_zero():
         raise ValueError("lowest_step of the zero module")
     d0 = m.min_deg
-    return gmod.sub_quotient(m, [(d0, v) for v in identity(m.dim(d0))])
+    return gmod.sub_quotient(m, {d0: identity(m.dim(d0))})
 
 
 def is_relative_sub(m: GradedModule, incl: ModuleMap) -> bool:
@@ -433,9 +414,10 @@ def lift_through_cover(free: GradedModule, images: dict[int, np.ndarray], epi: M
     """A map free -> epi's source whose composite with epi sends the
     degree-g generators to the rows of images[g] in epi's target.
 
-    free is the free module on images' generators, degrees ascending.  One
-    solve per degree finds preimages of every image of that degree under
-    epi, extended freely, so the lift is a genuine module map.
+    free is the free module on images' generators.  One solve per degree
+    finds preimages of every image of that degree under epi, and the lift's
+    blocks are the preimages' words (gmod.generator_words), so it is a
+    genuine module map.
     """
     pre = {}
     for g, img in images.items():
@@ -443,7 +425,7 @@ def lift_through_cover(free: GradedModule, images: dict[int, np.ndarray], epi: M
         if x is None:
             raise ValueError("cannot lift through a non-surjective cover")
         pre[g] = x.T
-    return free_map_from_generators(free, epi.source, pre)
+    return ModuleMap(free, epi.source, gmod.generator_words(epi.source, pre))
 
 
 def syzygy_of_ses(incl: ModuleMap, proj: ModuleMap):

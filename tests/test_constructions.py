@@ -8,7 +8,7 @@ import pytest
 from exalg import constructions as cons
 from exalg import exterior, gmod, homalg, homology, modfile
 from exalg import linalg as la
-from test_gmod import top_degrees
+from test_gmod import closure_subspaces, top_degrees
 from test_homalg import flat_coords
 from test_exterior import wedge
 from test_linalg import reduce_mod_subspace
@@ -79,7 +79,7 @@ def test_point_module_generic_form_matches_quotient_construction():
     m = cons.point_module(n + 1, form, P)
     assert gmod.validate(m) == []
     r = gmod.free_module(n + 1, P, [0])
-    _, _, quot, _ = gmod.sub_quotient(r, [(1, form)])
+    _, _, quot, _ = gmod.sub_quotient(r, {1: form[None]})
     assert gmod.iso_probable(m, quot, seed=3).kind == "ISO"
     # the form itself acts by zero
     assert not any(m.form_action(form, d).any() for d in m.degrees)
@@ -430,7 +430,7 @@ def test_deepest_word_layer_spans_a_submodule(p):
             big = cons.filtration_projective_explicit(n, d, p)
             first = len(cons._words(n, d - 1))
             units = {j: la.identity(big.dim(j))[first * comb(n, j) :] for j in big.degrees}
-            closure = gmod._closure_subspaces(big, {j: list(u) for j, u in units.items()})
+            closure = closure_subspaces(big, {j: list(u) for j, u in units.items()})
             assert closure.keys() == {j for j, u in units.items() if len(u)}, (n, d)
             for j, s in closure.items():
                 assert np.array_equal(s.basis, units[j]), (n, d, j)
@@ -621,7 +621,7 @@ def _peel_point_layers(layer: gmod.GradedModule, xi: np.ndarray, seed: int) -> i
         for w in candidates:
             if not w.any():
                 continue
-            sub, _, quot, _ = gmod.sub_quotient(cur, [(d0, w)])
+            sub, _, quot, _ = gmod.sub_quotient(cur, {d0: w[None]})
             if sub.total_dim == 2 ** n and all(
                 sub.dim(d0 + j) == comb(n, j) for j in range(n + 1)
             ):
@@ -742,7 +742,7 @@ def negative_battery(p):
     tower = cons.universal_extension(points[3], points[3])[0].middle
     for m in (cons.filtration_projective(2, 3, p), cons.ar_sequence_middle(2, p, XI).middle, tower):
         for d in (m.min_deg, m.min_deg + 1):
-            sub, _, quot, _ = gmod.sub_quotient(m, [(d, rng.integers(0, p, m.dim(d), dtype=np.int64))])
+            sub, _, quot, _ = gmod.sub_quotient(m, {d: rng.integers(0, p, m.dim(d), dtype=np.int64)[None]})
             mods += [sub, quot]
     return mods
 

@@ -7,6 +7,7 @@ import pytest
 from exalg import constructions as cons
 from exalg import exterior, gmod, homalg, modfile, verify
 from exalg import linalg as la
+from exalg.linalg import Subspace, matmul_mod, subspace_from_rows
 
 P = la.DEFAULT_PRIME
 
@@ -159,7 +160,7 @@ def test_is_short_exact_verdicts():
 def test_sub_quotient_full_generators_of_cyclic():
     r = gmod.free_module(2, P, [0])
     gen = np.array([1])
-    sub, incl, quot, proj = gmod.sub_quotient(r, [(0, gen)])
+    sub, incl, quot, proj = gmod.sub_quotient(r, {0: gen[None]})
     assert sub.dims == r.dims
     assert quot.is_zero()
     assert incl.commutes()
@@ -169,7 +170,7 @@ def test_sub_quotient_principal_ideal_in_kronecker_algebra():
     # inside the free algebra on x0, x1 the span of x0 is {1: 1, 2: 1}
     r = gmod.free_module(2, P, [0])
     gen = np.array([1, 0])  # x0 in the degree-1 monomial basis [x0, x1]
-    sub, incl, quot, proj = gmod.sub_quotient(r, [(1, gen)])
+    sub, incl, quot, proj = gmod.sub_quotient(r, {1: gen[None]})
     assert sub.dims == {1: 1, 2: 1}
     assert gmod.validate(sub) == []
     assert incl.commutes() and proj.commutes()
@@ -183,10 +184,83 @@ def test_sub_quotient_by_socle_line_of_two_layer_algebra():
     m = radical_square_quotient(3)  # dims {0:1, 1:3}
     assert m.dims == {0: 1, 1: 3}
     z_image = np.array([0, 0, 1])
-    sub, incl, quot, proj = gmod.sub_quotient(m, [(1, z_image)])
+    sub, incl, quot, proj = gmod.sub_quotient(m, {1: z_image[None]})
     assert sub.dims == {1: 1}
     assert quot.total_dim == 3
     assert quot.dims == {0: 1, 1: 2}
+
+
+def closure_subspaces(m: gmod.GradedModule, seeds: dict[int, list[np.ndarray]]) -> dict[int, Subspace]:
+    """Smallest action-stable graded subspace containing the seed vectors."""
+    p = m.p
+    rows: dict[int, list[np.ndarray]] = {d: [np.asarray(v) % p for v in vs] for d, vs in seeds.items()}
+    if not rows:
+        return {}
+    lo = min(rows)
+    spans: dict[int, Subspace] = {}
+    for d in [e for e in m.degrees if e >= lo]:
+        here = rows.get(d, [])
+        mat = np.array(here, dtype=np.int64).reshape(len(here), m.dim(d))
+        spans[d] = subspace_from_rows(mat, m.dim(d), p)
+        if spans[d].dim and m.dim(d + 1):
+            nxt = rows.setdefault(d + 1, [])
+            for i in range(m.n_plus_1):
+                img = matmul_mod(spans[d].basis, m.action(i, d), p)
+                nxt.extend(img)
+    return {d: s for d, s in spans.items() if s.dim}
+
+
+def sub_quotient_battery(p):
+    """Seeded generator sets, {degree: rows}, in one to three degrees of
+    six modules, with empty and all-zero batches and each module's top
+    degree, whose successor is zero; the sum of a free module and a simple
+    module in degree 5 has a gap above degree 2 as well."""
+    rng = np.random.default_rng(p)
+    mods = [
+        gmod.free_module(3, p, [0, 1]),
+        gmod.square_truncate(gmod.free_module(3, p, [0])),
+        cons.point_module(3, [1, 2, 0], p),
+        cons.filtration_projective(2, 2, p),
+        cons.ar_sequence_middle(2, p).middle,
+        gmod.direct_sum(gmod.free_module(2, p, [0]), gmod.simple_module(2, p, 5))[0],
+    ]
+    for m in mods:
+        top = m.max_deg
+        yield m, {top: rng.integers(0, p, (1, m.dim(top)), dtype=np.int64)}
+        yield m, {m.min_deg: la.zeros(0, m.dim(m.min_deg))}
+        yield m, {m.min_deg: la.zeros(2, m.dim(m.min_deg)), top: la.zeros(0, m.dim(top))}
+        for _ in range(12):
+            degs = rng.choice(m.degrees, size=min(len(m.degrees), int(rng.integers(1, 4))), replace=False)
+            gens = {}
+            for d in degs:
+                rows = rng.integers(0, p, (int(rng.integers(0, 4)), m.dim(d)), dtype=np.int64)
+                gens[int(d)] = rows * int(rng.integers(0, 4) > 0)
+            yield m, gens
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+def test_sub_quotient_matches_the_closure_oracle(p):
+    cases = 0
+    for m, gens in sub_quotient_battery(p):
+        spans = closure_subspaces(m, {d: list(rows) for d, rows in gens.items()})
+        sub, incl, quot, proj = gmod.sub_quotient(m, gens)
+        want_sub, want_incl = gmod.submodule_from_subspaces(m, spans)
+        want_quot, want_proj = gmod.quotient_by_subspaces(m, spans)
+        assert sub == want_sub and quot == want_quot, (m, gens)
+        assert np.array_equal(gmod.flatten_map(incl), gmod.flatten_map(want_incl))
+        assert np.array_equal(gmod.flatten_map(proj), gmod.flatten_map(want_proj))
+        cases += 1
+    assert cases == 6 * 15
+
+
+def test_sub_quotient_rejects_a_batch_that_is_not_a_matrix_of_vectors():
+    m = example_module_two_layer()
+    with pytest.raises(ValueError, match="degree 0"):
+        gmod.sub_quotient(m, {0: np.array([1, 0])})
+    with pytest.raises(ValueError, match="degree 1"):
+        gmod.sub_quotient(m, {1: np.array([[1, 0, 0]])})
+    # an empty batch of the right width is a generator set
+    assert gmod.sub_quotient(m, {1: la.zeros(0, 2)})[0].is_zero()
 
 
 def test_graded_module_rejects_more_action_lists_than_variables():
@@ -360,7 +434,7 @@ def hom_fixture_pairs():
         (gmod.dual(m), m),
         (gmod.direct_sum(m, m)[0], m),
     ]
-    sub, _, quot, _ = gmod.sub_quotient(r2, [(1, np.array([1, 0]))])
+    sub, _, quot, _ = gmod.sub_quotient(r2, {1: np.array([[1, 0]])})
     pairs.append((sub, quot))
     pairs.append((quot, sub))
     # relations that land where the source is zero: k·x_i = 0 must force
@@ -464,12 +538,12 @@ def random_structured_module(seed):
     n1 = int(r.integers(2, 4))
     gens = sorted(int(r.integers(-3, 3)) for _ in range(int(r.integers(1, 4))))
     free = gmod.free_module(n1, P, gens)
-    picks = []
+    picks: dict[int, list[np.ndarray]] = {}
     for _ in range(int(r.integers(1, 4))):
         degs = free.degrees
         d = int(degs[int(r.integers(0, len(degs)))])
-        picks.append((d, r.integers(0, P, free.dim(d), dtype=np.int64)))
-    sub, _, quot, _ = gmod.sub_quotient(free, picks)
+        picks.setdefault(d, []).append(r.integers(0, P, free.dim(d), dtype=np.int64))
+    sub, _, quot, _ = gmod.sub_quotient(free, {d: np.array(vs) for d, vs in picks.items()})
     m = [sub, quot, free][int(r.integers(0, 3))]
     if int(r.integers(0, 2)):
         m = gmod.dual(m)

@@ -28,7 +28,7 @@ def point_module(n_plus_1, form=None):
     if form is None:
         form = np.zeros(n_plus_1, dtype=np.int64)
         form[0] = 1
-    return gmod.sub_quotient(r, [(1, np.asarray(form, dtype=np.int64))])[2]
+    return gmod.sub_quotient(r, {1: np.asarray(form, dtype=np.int64)[None]})[2]
 
 
 def test_end_of_point_module_is_scalar():
@@ -203,6 +203,25 @@ def test_end_algebra_solves_hom_once(monkeypatch):
     monkeypatch.setattr(gmod, "hom_space", counting)
     assert homalg.end_algebra(m).dim == 6
     assert len(calls) == 1
+
+
+def test_end_that_is_a_larger_field_is_not_local():
+    # x_0 = I and x_1 with x_1^2 = 3, a non-square mod 7: End is F_49, so
+    # the module is indecomposable, yet End/rad is not F_p and is_local is
+    # False
+    x1 = [[0, 1], [3, 0]]
+    m = GradedModule(2, 7, {0: 2, 1: 2}, [{0: la.identity(2)}, {0: x1}])
+    assert gmod.validate(m) == []
+    end = homalg.end_algebra(m)
+    assert end.to_json_dict() == {
+        "dim": 2,
+        "p": 7,
+        "one": [1, 0],
+        "mult": [[[1, 0], [0, 1]], [[0, 1], [3, 0]]],
+        "radical_dims": [2, 0],
+    }
+    assert end.is_commutative() and end.radical.dim == 0
+    assert not end.is_local()
 
 
 def factor_through_projectives_by_flat_composites(

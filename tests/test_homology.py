@@ -43,7 +43,7 @@ def point_module(n_plus_1, index=0):
     r = gmod.free_module(n_plus_1, P, [0])
     gen = np.zeros(n_plus_1, dtype=np.int64)
     gen[index] = 1
-    _, _, quot, _ = gmod.sub_quotient(r, [(1, gen)])
+    _, _, quot, _ = gmod.sub_quotient(r, {1: gen[None]})
     return quot
 
 
@@ -96,13 +96,34 @@ def test_lift_through_cover_keeps_each_generator_on_its_own_row():
     m = example_module_two_layer()
     free = gmod.free_module(3, P, [0, 0])
     assert {d: sl.tolist() for d, sl in gmod.top_generators(free).items()} == {0: [0, 1]}
-    epi = homology.free_map_from_generators(free, m, {0: np.array([[1, 2], [0, 1]])})
+    epi = gmod.ModuleMap(free, m, gmod.generator_words(m, {0: np.array([[1, 2], [0, 1]])}))
     images = {0: np.array([[3, 5], [7, 2]])}
     lift = homology.lift_through_cover(free, images, epi)
     assert lift.commutes()
     assert np.array_equal(gmod.map_compose(lift, epi).block(0), images[0])
     with pytest.raises(ValueError, match="non-surjective"):
         homology.lift_through_cover(free, images, gmod.ModuleMap(free, m, {}))
+
+
+def test_generator_order_does_not_change_the_map_or_the_lift():
+    # generators in degrees 0 and 1 of one free module, with their images
+    # listed high degree first: the words still stack in the free basis's
+    # order, so the map is a module map and equals the ascending listing's
+    m = example_module_two_layer()
+    free = gmod.free_module(3, P, [0, 1])
+    up = {0: np.array([[1, 0]]), 1: np.array([[0, 1]])}
+    down = dict(reversed(up.items()))
+    assert list(down) == [1, 0]
+    want = gmod.ModuleMap(free, m, gmod.generator_words(m, up))
+    got = gmod.ModuleMap(free, m, gmod.generator_words(m, down))
+    assert want.commutes() and got.commutes()
+    assert np.array_equal(gmod.flatten_map(got), gmod.flatten_map(want))
+    _, epi = homology.projective_cover(m)
+    lift_up = homology.lift_through_cover(free, up, epi)
+    lift_down = homology.lift_through_cover(free, down, epi)
+    assert lift_up.commutes() and lift_down.commutes()
+    assert np.array_equal(gmod.flatten_map(lift_down), gmod.flatten_map(lift_up))
+    assert np.array_equal(gmod.flatten_map(gmod.map_compose(lift_down, epi)), gmod.flatten_map(want))
 
 
 def test_kernel_of_cover_sits_in_radical():
@@ -473,14 +494,14 @@ def test_lowest_step_splits_mixed_sum():
 
 def test_relative_sub_trivial_cases():
     m = example_module_two_layer()
-    sub, incl, quot, proj = gmod.sub_quotient(m, [(0, np.array([1, 0])), (0, np.array([0, 1]))])
+    sub, incl, quot, proj = gmod.sub_quotient(m, {0: np.array([[1, 0], [0, 1]])})
     assert sub.dims == m.dims
     assert homology.is_relative_sub(m, incl)
 
 
 def test_relative_sub_rejects_socle_line():
     r = gmod.free_module(2, P, [0])
-    sub, incl, quot, proj = gmod.sub_quotient(r, [(2, np.array([1]))])
+    sub, incl, quot, proj = gmod.sub_quotient(r, {2: np.array([[1]])})
     assert sub.dims == {2: 1}
     assert not homology.is_relative_sub(r, incl)
 
@@ -490,7 +511,7 @@ def test_relative_sub_checks_radical_powers_beyond_the_first():
     # while LJ^2 = 0
     m = random_structured_module(7180)
     assert (m.n_plus_1, m.dims) == (2, {2: 1, 3: 3, 4: 2})
-    sub, incl, _, _ = gmod.sub_quotient(m, [(3, np.array([1, 2, 1]))])
+    sub, incl, _, _ = gmod.sub_quotient(m, {3: np.array([[1, 2, 1]])})
     assert sub.dims == {3: 1, 4: 2}
     assert not homology.is_relative_sub(m, incl)
 
@@ -554,7 +575,7 @@ def relative_battery():
             for m in (point, p2, free, gmod.square_truncate(free), almost_split.middle):
                 for d in m.degrees:
                     for v in la.identity(m.dim(d)):
-                        cases.append((m, gmod.sub_quotient(m, [(d, v)])[1]))
+                        cases.append((m, gmod.sub_quotient(m, {d: v[None]})[1]))
                 cur = m
                 while not cur.is_zero():
                     _, incl, cur, _ = homology.lowest_step(cur)
@@ -588,7 +609,7 @@ def test_weakly_koszul_linear_modules():
 def test_weakly_koszul_socle_quotient_fails():
     # R modulo its socle has a non-linear second step over two variables
     r = gmod.free_module(2, P, [0])
-    _, _, quot, _ = gmod.sub_quotient(r, [(2, np.array([1]))])
+    _, _, quot, _ = gmod.sub_quotient(r, {2: np.array([[1]])})
     assert not is_weakly_koszul(quot, 6)
 
 
