@@ -16,9 +16,13 @@ one degree at a time to the ones that respect the relations among the
 generators' monomial multiples.  One elimination per degree, of the lower
 generators' words beside an identity and bounded by the source's columns,
 yields both the generators in that degree and the relations landing there,
-so every elimination stays at per-degree size.  hom_space hands the
-generator slots on with the Hom space as {degree: slot indices}, the
-layout top_generators returns, and homalg reads composites there.
+so every elimination stays at per-degree size.  No constraint step holds
+every candidate's image of every word: until a degree cuts the candidates
+the relations meet the target's unit words first, and the constraints come
+in slices of the target's columns, each slice cutting the candidates before
+the next is built from them.  hom_space hands the generator slots on with
+the Hom space as {degree: slot indices}, the layout top_generators returns,
+and homalg reads composites there.
 
 The radical powers mJ, mJ², ... come from one lazy generator,
 radical_powers: top generators and Ext over the radical-square-zero
@@ -568,6 +572,11 @@ def hom_space_dim_layout(a: GradedModule, b: GradedModule) -> int:
     return sum(a.dim(d) * b.dim(d) for d in _blocks_layout(a, b))
 
 
+# the most entries one slice of the Hom constraints holds: b_e's columns are
+# taken this many candidate-word images at a time
+SLICE_ENTRIES = 1 << 24
+
+
 def _hom_solve(a: GradedModule, b: GradedModule):
     """Solve for the degree-zero maps a -> b.  Returns (u, maps): u has one
     row per map of a basis, the images of a's top generators, and maps()
@@ -594,6 +603,16 @@ def _hom_solve(a: GradedModule, b: GradedModule):
     start as identity blocks and are only ever multiplied on the left by a
     kernel basis, so they stay independent.
 
+    No step holds every candidate's image of every word at once.  While no
+    degree has cut the candidates, u = I and (R·U)·u = R·(U·u): each
+    relation meets the target's unit words U, one product per lower
+    generator degree, and the result is the constraint matrix itself.  The
+    kernel of [C_1 | C_2] is the kernel of C_1 followed by that of C_2 on
+    the survivors, so the constraints, and the blocks maps() reads, are
+    built in slices of b_e's columns of at most SLICE_ENTRIES entries each,
+    one slice per degree below that bound; after the first cut each slice's
+    images come from the current u, which it cuts before the next slice.
+
     The solver visits only the degrees up to b's top degree: a generator
     above it has no slot, and every map sends it to zero.
     """
@@ -605,24 +624,51 @@ def _hom_solve(a: GradedModule, b: GradedModule):
     units: dict[int, list[np.ndarray]] = {}  # the same for b's basis where b is nonzero
     # the candidates: one vector of b_(deg g) per generator g found so far, degrees ascending
     u = zeros(0, 0)
+    free = True  # u is the identity: no degree has cut the candidates yet
     reads = []  # (e, the matrix taking the images of e's words and generators to the block)
     slots: dict[int, np.ndarray] = {}
 
-    def images(e: int) -> np.ndarray:
-        # (candidates, words, b_e): each candidate's images of the words in degree e
-        parts, ofs = [np.zeros((len(u), 0, b.dim(e)), dtype=np.int64)], 0
+    def width(nw: int) -> int:
+        # b_e's columns per slice of len(u) candidates' images of nw words
+        return max(1, SLICE_ENTRIES // (max(len(u), 1) * nw))
+
+    def unit_words(d: int, e: int, c0: int, c1: int) -> np.ndarray:
+        # (b_d, monomials, c1 - c0): b_d's basis times the degree-(e - d) monomials, b_e's columns c0:c1
+        return units[d][e - d].reshape(b.dim(d), -1, b.dim(e))[:, :, c0:c1]
+
+    def images(e: int, top: int, c0: int, c1: int) -> np.ndarray:
+        # (candidates, words, c1 - c0): each candidate's images of the words
+        # in degree e of the generators below degree top
+        parts, ofs = [np.zeros((len(u), 0, c1 - c0), dtype=np.int64)], 0
         for d, w in words.items():
             g, bd = len(w[0]), b.dim(d)
-            if 0 <= e - d <= n1:
+            if d < top and e - d <= n1:
                 count = g * comb(n1, e - d)
                 if bd:
                     ud = u[:, ofs : ofs + g * bd].reshape(-1, bd)
-                    img = matmul_mod(ud, units[d][e - d].reshape(bd, -1), p)
+                    img = matmul_mod(ud, unit_words(d, e, c0, c1).reshape(bd, -1), p)
                 else:
-                    img = zeros(len(u) * count, b.dim(e))
-                parts.append(img.reshape(len(u), count, b.dim(e)))
+                    img = zeros(len(u) * count, c1 - c0)
+                parts.append(img.reshape(len(u), count, c1 - c0))
             ofs += g * bd
         return np.concatenate(parts, axis=1)
+
+    def relations_first(e: int, rel: np.ndarray, c0: int, c1: int) -> np.ndarray:
+        # rel (r, words below e) applied to the unit words, u's columns by
+        # (r, c1 - c0): the constraints while u = I, zero where no word reaches e
+        r, c, blocks, ofs = len(rel), c1 - c0, [], 0
+        for d, w in words.items():
+            g, bd = len(w[0]), b.dim(d)
+            if d < e and e - d <= n1:
+                k = comb(n1, e - d)
+                if bd:
+                    units_d = unit_words(d, e, c0, c1).transpose(1, 0, 2).reshape(k, bd * c)
+                    img = matmul_mod(rel[:, ofs : ofs + g * k].reshape(r * g, k), units_d, p)
+                    blocks.append(img.reshape(r, g, bd, c).transpose(1, 2, 0, 3).reshape(g * bd, r * c))
+                ofs += g * k
+            else:
+                blocks.append(zeros(g * bd, r * c))
+        return np.vstack(blocks)
 
     def along_words(mat: np.ndarray, imgs: np.ndarray) -> np.ndarray:
         # mat (r, words) applied along the word axis: (candidates, r, b_e)
@@ -632,9 +678,9 @@ def _hom_solve(a: GradedModule, b: GradedModule):
 
     for e in sorted(d for d in set(a.dims) | set(b.dims) if d <= b.max_deg):
         ae, be = a.dim(e), b.dim(e)
+        nw = sum(len(w[0]) * comb(n1, e - d) for d, w in words.items() if e - d <= n1)  # words below e landing in e
         if ae:
             low = [w[e - d] for d, w in words.items() if e - d <= n1]
-            nw = sum(len(x) for x in low)
             amat = np.vstack(low) if low else zeros(0, ae)
             r, red, piv = linalg._rref_small(np.hstack([amat, linalg.identity(nw)]), p, ae)
             gens = np.delete(np.arange(ae), piv)
@@ -655,14 +701,30 @@ def _hom_solve(a: GradedModule, b: GradedModule):
             reads.append((e, expr))
             if r == nw:
                 continue  # no relation lands in e
-            cons = along_words(red[r:, ae:], images(e)[:, :nw])
+            rel = red[r:, ae:]
+        elif not nw:
+            continue
         else:
-            cons = images(e)  # every word is a relation where a_e = 0
-        if cons.any():
-            u = matmul_mod(left_kernel_basis(cons.reshape(len(u), -1), p).basis, u, p)
+            rel = None  # every word is a relation where a_e = 0
+        c0 = 0
+        while c0 < be and len(u):
+            c1 = min(be, c0 + width(nw))
+            if rel is None:
+                cons = images(e, e, c0, c1).reshape(len(u), -1)
+            elif free:
+                cons = relations_first(e, rel, c0, c1)
+            else:
+                cons = along_words(rel, images(e, e, c0, c1)).reshape(len(u), -1)
+            if cons.any():
+                u, free = matmul_mod(left_kernel_basis(cons, p).basis, u, p), False
+            c0 = c1
 
     def maps() -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        flat = [along_words(expr, images(e)).reshape(len(u), -1) for e, expr in reads]
+        flat = []
+        for e, expr in reads:
+            be, step = b.dim(e), width(expr.shape[1])
+            cols = [along_words(expr, images(e, e + 1, c0, min(be, c0 + step))) for c0 in range(0, be, step)]
+            flat.append(np.concatenate(cols, axis=2).reshape(len(u), -1))
         return np.hstack(flat), slots
 
     return u, maps
@@ -670,7 +732,11 @@ def _hom_solve(a: GradedModule, b: GradedModule):
 
 def hom_dim(a: GradedModule, b: GradedModule) -> int:
     """dim of the degree-zero Hom space: the count of independent candidate
-    images, read before any map is flattened."""
+    images, read before any map is flattened.  The relations meet the
+    target's unit words while no degree has cut the candidates, and a
+    degree whose constraints exceed SLICE_ENTRIES entries takes them in
+    slices of the target's columns, each built from the candidates the
+    slices before it left (_hom_solve)."""
     return len(_hom_solve(a, b)[0])
 
 

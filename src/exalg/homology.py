@@ -368,6 +368,11 @@ def _regular_steps(m: GradedModule, seed: int = 0) -> tuple[list[np.ndarray], Gr
             if regular_element_test(cur, v):
                 found = v
                 break
+            # the forms in seq's span act as zero on cur, so with one
+            # direction left every form off that span acts as a nonzero
+            # multiple of v: none is regular
+            if len(seq) == n1 - 1 and rref(np.vstack(seq + [v]), m.p)[0] == n1:
+                break
         if found is None:
             break
         seq.append(found)
@@ -380,7 +385,8 @@ def regular_sequence(m: GradedModule, seed: int = 0) -> list[np.ndarray]:
 
     At each step the search samples linear forms and keeps the first one
     acting exactly on the current quotient; a quotient whose dimensions
-    have a nonzero alternating sum has none and is not sampled.  Over a
+    have a nonzero alternating sum has none and is not sampled, and with one
+    direction left one failing form off the sequence's span decides.  Over a
     large field a generic form is regular whenever any form is, so the
     greedy length is the maximal one with overwhelming probability; the
     complexity of m is n_plus_1 minus that length.

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_left
 from math import comb
 
@@ -703,6 +704,133 @@ def test_hom_space_slots_are_the_top_generators_below_the_target_top():
     space = gmod.hom_space(a, b)
     assert space.dim and 2 in gmod.top_generators(a) and b.max_deg == 1
     assert list(space.slots) == [0]
+
+
+def hom_solve_image_first(a: gmod.GradedModule, b: gmod.GradedModule):
+    """The Hom solver as it was before the constraints came in slices: in
+    each degree it builds every candidate's image of every word, one
+    (candidates, words, b_e) array, and applies the relations to it.
+    Returns (u, maps) like gmod._hom_solve's."""
+    gmod._check_compatible(a, b)
+    p, n1 = a.p, a.n_plus_1
+    if not gmod.hom_space_dim_layout(a, b):
+        return la.zeros(0, 0), lambda: (la.zeros(0, 0), {})
+    words: dict[int, list[np.ndarray]] = {}  # generator degree -> monomial_rows of its generators
+    units: dict[int, list[np.ndarray]] = {}  # the same for b's basis where b is nonzero
+    # the candidates: one vector of b_(deg g) per generator g found so far, degrees ascending
+    u = la.zeros(0, 0)
+    reads = []  # (e, the matrix taking the images of e's words and generators to the block)
+    slots: dict[int, np.ndarray] = {}
+
+    def images(e: int) -> np.ndarray:
+        # (candidates, words, b_e): each candidate's images of the words in degree e
+        parts, ofs = [np.zeros((len(u), 0, b.dim(e)), dtype=np.int64)], 0
+        for d, w in words.items():
+            g, bd = len(w[0]), b.dim(d)
+            if 0 <= e - d <= n1:
+                count = g * comb(n1, e - d)
+                if bd:
+                    ud = u[:, ofs : ofs + g * bd].reshape(-1, bd)
+                    img = la.matmul_mod(ud, units[d][e - d].reshape(bd, -1), p)
+                else:
+                    img = la.zeros(len(u) * count, b.dim(e))
+                parts.append(img.reshape(len(u), count, b.dim(e)))
+            ofs += g * bd
+        return np.concatenate(parts, axis=1)
+
+    def along_words(mat: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+        # mat (r, words) applied along the word axis: (candidates, r, b_e)
+        t, w, c = imgs.shape
+        out = la.matmul_mod(mat, imgs.transpose(1, 0, 2).reshape(w, t * c), p)
+        return out.reshape(len(mat), t, c).transpose(1, 0, 2)
+
+    for e in sorted(d for d in set(a.dims) | set(b.dims) if d <= b.max_deg):
+        ae, be = a.dim(e), b.dim(e)
+        if ae:
+            low = [w[e - d] for d, w in words.items() if e - d <= n1]
+            nw = sum(len(x) for x in low)
+            amat = np.vstack(low) if low else la.zeros(0, ae)
+            r, red, piv = la._rref_small(np.hstack([amat, la.identity(nw)]), p, ae)
+            gens = np.delete(np.arange(ae), piv)
+            if gens.size:
+                words[e] = gmod.monomial_rows(a, e, la.identity(ae)[gens])
+        if not be:
+            continue
+        if ae:
+            if gens.size:
+                slots[e] = gens
+                units[e] = gmod.monomial_rows(b, e, la.identity(be))
+                k = gens.size * be
+                u = np.block([[u, la.zeros(len(u), k)], [la.zeros(k, u.shape[1]), la.identity(k)]])
+            expr = la.zeros(ae, nw + gens.size)
+            expr[piv, :nw] = red[:r, ae:]
+            expr[piv, nw:] = -red[:r, gens] % p
+            expr[gens, nw + np.arange(gens.size)] = 1
+            reads.append((e, expr))
+            if r == nw:
+                continue  # no relation lands in e
+            cons_ = along_words(red[r:, ae:], images(e)[:, :nw])
+        else:
+            cons_ = images(e)  # every word is a relation where a_e = 0
+        if cons_.any():
+            u = la.matmul_mod(la.left_kernel_basis(cons_.reshape(len(u), -1), p).basis, u, p)
+
+    def maps() -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        flat = [along_words(expr, images(e)).reshape(len(u), -1) for e, expr in reads]
+        return np.hstack(flat), slots
+
+    return u, maps
+
+
+def hom_space_image_first(a, b):
+    u, maps = hom_solve_image_first(a, b)
+    ambient = gmod.hom_space_dim_layout(a, b)
+    if not len(u):
+        return len(u), gmod.HomSubspace(ambient, la.zeros(0, ambient), a.p)
+    flat, slots = maps()
+    return len(u), gmod.HomSubspace(ambient, la.subspace_from_rows(flat, ambient, a.p).basis, a.p, slots)
+
+
+def test_sliced_hom_solve_matches_the_image_first_oracle(monkeypatch):
+    # one column of b_e per slice at bound 1, a few at 40: the kernel of
+    # [C_1 | C_2] is the kernel of C_1 followed by that of C_2 on the
+    # survivors, so the dimension, the RREF basis and the slots are the
+    # oracle's whatever the slices; hom_oracle_pairs holds hom_fixture_pairs
+    # and the random structured modules, and on P^(3) each slice cuts again
+    pd3 = gmod.transport(cons.filtration_projective(2, 3, P), np.array([[1, 2, 3], [0, 1, 4], [5, 0, 1]]))
+    pairs = hom_oracle_pairs() + [(pd3, pd3), (cons.filtration_projective(2, 2, P), pd3)]
+    want = [hom_space_image_first(a, b) for a, b in pairs]
+    assert sum(dim > 0 for dim, _ in want) >= 15
+    kernels = []
+    real = gmod.left_kernel_basis
+    monkeypatch.setattr(gmod, "left_kernel_basis", lambda mat, p: kernels.append(1) or real(mat, p))
+    cuts = []
+    for bound in (gmod.SLICE_ENTRIES, 40, 1):
+        monkeypatch.setattr(gmod, "SLICE_ENTRIES", bound)
+        kernels.clear()
+        for (a, b), (dim, space) in zip(pairs, want):
+            assert gmod.hom_dim(a, b) == dim
+            got = gmod.hom_space(a, b)
+            assert got == space and got.basis.dtype == space.basis.dtype
+            assert {d: s.tolist() for d, s in got.slots.items()} == {d: s.tolist() for d, s in space.slots.items()}
+        cuts.append(len(kernels))
+    # a smaller bound cuts the candidates in more slices
+    assert cuts[0] < cuts[1] <= cuts[2]
+
+
+def test_hom_space_of_p3_stays_small_in_memory():
+    # P^(3) at n = 3: the relations meet the unit words before any
+    # candidate does, so no (candidates, words, b_e) image array is built
+    m = cons.filtration_projective(3, 3, P)
+    gmod.hom_space(m, m)
+    tracemalloc.start()
+    try:
+        space = gmod.hom_space(m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 10
+    assert peak < 2_000_000
 
 
 def test_iso_probable_symmetric_verdicts():

@@ -688,6 +688,17 @@ def test_regular_search_skips_modules_of_nonzero_euler_characteristic(regular_te
     assert {m.total_dim for m in regular_tests} == {8, 4, 2}
 
 
+def test_regular_search_stops_at_one_failing_form_with_one_direction_left(regular_tests):
+    # the almost-split middle over n = 2 has complexity one: two forms are
+    # regular and then, with one direction left, the first form off their
+    # span that fails decides the search: three tests, not 2 + 64
+    m = cons.ar_sequence_middle(2, P).middle
+    seq = homology.regular_sequence(m)
+    assert len(seq) == 2
+    assert len(regular_tests) == 3
+    assert la.rref(np.vstack(seq), P)[0] == 2
+
+
 def test_complexity_searches_once(regular_tests, monkeypatch):
     m = twisted(cons.filtration_projective(2, 3, P), 2)
     seq = homology.regular_sequence(m, seed=4)
